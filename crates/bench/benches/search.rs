@@ -3,9 +3,7 @@
 //! recurrence on the path-shaped models where it is feasible.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use pase_core::{
-    generate_seq, naive_best_strategy, optcnn_search, DpOptions, Search, SearchBudget,
-};
+use pase_core::{generate_seq, naive_best_strategy, optcnn_search, Search, SearchBudget};
 use pase_cost::{ConfigRule, CostTables, MachineSpec, PruneOptions, PrunedTables, TableOptions};
 use pase_models::Benchmark;
 
@@ -61,10 +59,6 @@ fn bench_find_best_strategy(c: &mut Criterion) {
     // (strict sequential fill in position order).
     let mut group = c.benchmark_group("find_best_strategy_sequential");
     group.sample_size(10);
-    let opts = DpOptions {
-        parallel: false,
-        ..DpOptions::default()
-    };
     for bench in Benchmark::all() {
         let p = 8u32;
         let g = bench.build_for(p);
@@ -72,7 +66,7 @@ fn bench_find_best_strategy(c: &mut Criterion) {
         group.bench_function(format!("{}/p{}", bench.name(), p), |b| {
             b.iter_batched(
                 || (),
-                |_| Search::new(&g).tables(&tables).dp_options(opts).run(),
+                |_| Search::new(&g).tables(&tables).parallel(false).run(),
                 BatchSize::PerIteration,
             )
         });

@@ -16,7 +16,7 @@
 
 use pase_bench::{dp_strategy, pase_strategy, standard_tables};
 use pase_core::{
-    dependent_set_sizes, make_ordering, optcnn_search, ConnectedSetMode, DpOptions, OrderingKind,
+    dependent_set_sizes, make_ordering, optcnn_search, ConnectedSetMode, OrderingKind,
     ReductionOutcome, Search, SearchBudget,
 };
 use pase_cost::{ConfigRule, CostTables, MachineSpec};
@@ -153,7 +153,7 @@ fn main() {
     let g = Benchmark::AlexNet.build_for(p);
     let topo = Topology::cluster(machine.clone(), p).unwrap();
     let tables = standard_tables(&g, p, &machine);
-    let (_, ours) = pase_strategy(&g, &tables, &DpOptions::default());
+    let (_, ours) = pase_strategy(&g, &tables);
     let ours = ours.expect("alexnet search succeeds");
     let dp = dp_strategy(&g, p);
     for overlap in [0.0, 0.3, 0.6] {

@@ -14,24 +14,26 @@
 //! * the full DP, unpruned vs pruned (identical optimum — asserted here —
 //!   but the pruned tables shrink every dependent-set table
 //!   multiplicatively);
-//! * the DP table fill alone, single-threaded, with each [`DpKernel`]
+//! * the DP table fill alone, single-threaded: the scalar reference loop
+//!   ([`reference::scalar_search`]) vs the tiled kernel
 //!   (`dp_fill_scalar_s` / `dp_fill_tiled_s` — the sequential-fill span of
-//!   a traced `parallel(false)` run, so scheduling noise is excluded and
-//!   the kernels are compared core-for-core). The tiled kernel's speedup
-//!   on the two biggest cells is asserted, and both kernels must agree on
-//!   the optimum bit-for-bit;
-//! * the Pareto-frontier DP fill, incremental vs run-blocked microkernel
+//!   a traced single-threaded run, so scheduling noise is excluded and the
+//!   loops are compared core-for-core). The tiled kernel's speedup on the
+//!   two biggest cells is asserted, and both must agree on the optimum
+//!   bit-for-bit;
+//! * the Pareto-frontier DP fill, the incremental reference loop
+//!   ([`reference::frontier`]) vs the run-blocked microkernel
 //!   (`dp_fill_frontier_s` / `dp_fill_frontier_tiled_s`, same
 //!   single-threaded span). Every cell asserts the min-time point of both
-//!   frontier kernels is bit-identical to the scalar optimum, and the
-//!   microkernel must be ≥5× faster than the incremental fill on the two
-//!   biggest cells; the traced microkernel run's `SearchReport` is
-//!   emitted per cell as `frontier_report`.
+//!   frontiers is bit-identical to the scalar optimum, and the microkernel
+//!   must be ≥5× faster than the incremental fill on the two biggest
+//!   cells; the traced microkernel run's `SearchReport` is emitted per
+//!   cell as `frontier_report`.
 //!
 //! Medians are written to `BENCH_search.json`. Mirrors the criterion
 //! benches but runs in seconds, so it can gate a PR.
 
-use pase_core::{DpKernel, DpOptions, Search, SearchReport};
+use pase_core::{reference, Search, SearchReport};
 use pase_cost::{
     ConfigRule, CostTables, DeviceMesh, MachineSpec, PruneOptions, PrunedTables, TableOptions,
 };
@@ -41,6 +43,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 const PS: [u32; 3] = [8, 32, 64];
+
+/// The per-state frontier width the frontier engine uses by default.
+const FRONTIER_WIDTH: usize = 8;
 
 /// Fewer samples at larger `p` keeps the whole job in smoke-test range.
 fn samples_for(p: u32) -> usize {
@@ -82,7 +87,6 @@ fn main() {
         ..TableOptions::default()
     };
     let optimized_tables = TableOptions::default();
-    let dp = DpOptions::default();
 
     let mut json = String::from("{\n  \"models\": {\n");
     // How many cells the two-tier cluster mesh moved away from the flat
@@ -112,39 +116,39 @@ fn main() {
             let pruned = PrunedTables::build(&g, &tables, &PruneOptions::default());
             let ps = *pruned.stats();
 
-            let search_plain = median_secs(samples, || {
-                Search::new(&g).tables(&tables).dp_options(dp).run()
-            });
-            let search_pruned = median_secs(samples, || {
-                Search::new(&g).tables(pruned.tables()).dp_options(dp).run()
-            });
+            let search_plain = median_secs(samples, || Search::new(&g).tables(&tables).run());
+            let search_pruned =
+                median_secs(samples, || Search::new(&g).tables(pruned.tables()).run());
 
             // Kernel A/B: the sequential-fill span of a single-threaded
             // traced run isolates the table-fill inner loop from rayon
-            // scheduling, so scalar vs tiled is a core-for-core comparison.
-            // The big p=64 cells are slow single-threaded — keep samples low.
+            // scheduling, so the scalar reference loop vs the tiled kernel
+            // is a core-for-core comparison. The big p=64 cells are slow
+            // single-threaded — keep samples low.
             let fill_samples = samples.min(3);
-            let fill_secs = |kernel: DpKernel| -> (f64, f64) {
-                let mut cost = f64::NAN;
-                let s = median_of(fill_samples, || {
-                    let trace = Trace::new();
-                    cost = Search::new(&g)
-                        .tables(&tables)
-                        .dp_options(dp)
-                        .parallel(false)
-                        .dp_kernel(kernel)
-                        .trace(&trace)
-                        .run()
-                        .expect_found(bench.name())
-                        .cost;
-                    trace
-                        .span_time_where(|n| n == phase::SEQUENTIAL_FILL)
-                        .as_secs_f64()
-                });
-                (s, cost)
+            let fill_span = |trace: &Trace| {
+                trace
+                    .span_time_where(|n| n == phase::SEQUENTIAL_FILL)
+                    .as_secs_f64()
             };
-            let (fill_scalar, scalar_cost) = fill_secs(DpKernel::Scalar);
-            let (fill_tiled, tiled_cost) = fill_secs(DpKernel::Tiled);
+            let mut scalar_cost = f64::NAN;
+            let fill_scalar = median_of(fill_samples, || {
+                let trace = Trace::new();
+                scalar_cost = reference::scalar_search(&g, &tables, Some(&trace)).cost;
+                fill_span(&trace)
+            });
+            let mut tiled_cost = f64::NAN;
+            let fill_tiled = median_of(fill_samples, || {
+                let trace = Trace::new();
+                tiled_cost = Search::new(&g)
+                    .tables(&tables)
+                    .parallel(false)
+                    .trace(&trace)
+                    .run()
+                    .expect_found(bench.name())
+                    .cost;
+                fill_span(&trace)
+            });
             assert_eq!(
                 scalar_cost.to_bits(),
                 tiled_cost.to_bits(),
@@ -162,48 +166,42 @@ fn main() {
             }
 
             // Frontier A/B: the same single-threaded sequential-fill span
-            // with the Pareto DP on, once per frontier kernel (Scalar =
-            // the incremental per-entry merge, Tiled = the run-blocked
-            // microkernel). One sample each — the big cells are slow
-            // single-threaded under the incremental kernel. Both kernels'
-            // min-time point must stay bit-identical to the scalar optimum
-            // (the ISSUE acceptance criterion, asserted on every cell of
-            // this grid), and the tiled kernel carries a >=5x acceptance
+            // with the Pareto DP on, once through the incremental reference
+            // loop and once through the run-blocked microkernel. One sample
+            // each — the big cells are slow single-threaded under the
+            // incremental loop. Both frontiers' min-time point must stay
+            // bit-identical to the scalar optimum (asserted on every cell
+            // of this grid), and the microkernel carries a >=5x acceptance
             // floor over the incremental fill on the two biggest cells.
-            let frontier_fill = |kernel: DpKernel| -> (f64, SearchReport) {
-                let trace = Trace::new();
-                let outcome = Search::new(&g)
-                    .tables(&tables)
-                    .dp_options(dp)
-                    .parallel(false)
-                    .dp_kernel(kernel)
-                    .trace(&trace)
-                    .frontier()
-                    .run()
-                    .into_outcome();
-                let cost = outcome.found().expect(bench.name()).cost;
+            let trace = Trace::new();
+            let incremental = reference::frontier(&g, &tables, FRONTIER_WIDTH, Some(&trace));
+            let dp_fill_frontier_s = fill_span(&trace);
+            let trace = Trace::new();
+            let outcome = Search::new(&g)
+                .tables(&tables)
+                .parallel(false)
+                .frontier_width(FRONTIER_WIDTH)
+                .trace(&trace)
+                .frontier()
+                .run()
+                .into_outcome();
+            let dp_fill_frontier_tiled_s = fill_span(&trace);
+            let frontier_report = SearchReport::new(bench.name(), p, &outcome, Some(&trace));
+            assert_eq!(frontier_report.stats.dp_kernel, "frontier-tiled");
+            for (engine, cost) in [
+                ("incremental", incremental.min_time().cost),
+                ("tiled", outcome.found().expect(bench.name()).cost),
+            ] {
                 assert_eq!(
                     cost.to_bits(),
                     scalar_cost.to_bits(),
-                    "{} p={p}: frontier ({}) min-time {cost} != scalar optimum {scalar_cost}",
-                    bench.name(),
-                    outcome.stats().dp_kernel
+                    "{} p={p}: frontier ({engine}) min-time {cost} != scalar optimum {scalar_cost}",
+                    bench.name()
                 );
-                let fill = trace
-                    .span_time_where(|n| n == phase::SEQUENTIAL_FILL)
-                    .as_secs_f64();
-                (
-                    fill,
-                    SearchReport::new(bench.name(), p, &outcome, Some(&trace)),
-                )
-            };
-            let (dp_fill_frontier_s, incr_report) = frontier_fill(DpKernel::Scalar);
-            let (dp_fill_frontier_tiled_s, frontier_report) = frontier_fill(DpKernel::Tiled);
-            assert_eq!(incr_report.stats.dp_kernel, "frontier");
-            assert_eq!(frontier_report.stats.dp_kernel, "frontier-tiled");
+            }
             let frontier_len = frontier_report.stats.frontier_len;
-            // Acceptance floor for the frontier microkernel (ISSUE 10) on
-            // the two biggest cells.
+            // Acceptance floor for the frontier microkernel on the two
+            // biggest cells.
             if p == 64 && matches!(bench, Benchmark::InceptionV3 | Benchmark::Transformer) {
                 assert!(
                     dp_fill_frontier_tiled_s * 5.0 <= dp_fill_frontier_s,
@@ -218,14 +216,12 @@ fn main() {
             // a per-phase wall-time breakdown.
             let plain_cost = Search::new(&g)
                 .tables(&tables)
-                .dp_options(dp)
                 .run()
                 .expect_found(bench.name())
                 .cost;
             let trace = Trace::new();
             let pruned_outcome = Search::new(&g)
                 .tables(&tables)
-                .dp_options(dp)
                 .pruning(PruneOptions::default())
                 .trace(&trace)
                 .run()
@@ -253,7 +249,6 @@ fn main() {
                     &optimized_tables,
                     None,
                 ))
-                .dp_options(dp)
                 .run()
                 .expect_found(bench.name());
             assert_eq!(
@@ -273,7 +268,6 @@ fn main() {
                     &optimized_tables,
                     None,
                 ))
-                .dp_options(dp)
                 .run()
                 .expect_found(bench.name());
             let mesh_tiered_s = t0.elapsed().as_secs_f64();

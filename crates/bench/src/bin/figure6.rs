@@ -18,7 +18,6 @@ use pase_bench::{
     dp_strategy, expert_strategy, flexflow_strategy, pase_strategy, relaxed_space, standard_space,
     standard_tables_with_space,
 };
-use pase_core::DpOptions;
 use pase_cost::{ConfigSpace, MachineSpec};
 use pase_graph::Graph;
 use pase_models::Benchmark;
@@ -163,7 +162,7 @@ fn main() {
             }
 
             let tables = standard_tables_with_space(graph, p, machine, &point.standard);
-            let (_, ours) = pase_strategy(graph, &tables, &DpOptions::default());
+            let (_, ours) = pase_strategy(graph, &tables);
             let (ours_cell, mem_cell) = match ours {
                 Some(s) => {
                     let rep = simulate_step(graph, &s, &topo, &sim_opts);

@@ -1,6 +1,5 @@
 //! Quick timing smoke test (not part of the paper reproduction).
 use pase_bench::{pase_strategy, standard_tables};
-use pase_core::DpOptions;
 use pase_cost::MachineSpec;
 use pase_models::Benchmark;
 use std::time::Instant;
@@ -14,7 +13,7 @@ fn main() {
             let tables = standard_tables(&g, p, &machine);
             let t_build = t0.elapsed();
             let t1 = Instant::now();
-            let (outcome, _) = pase_strategy(&g, &tables, &DpOptions::default());
+            let (outcome, _) = pase_strategy(&g, &tables);
             let stats = outcome.stats().clone();
             println!(
                 "{:<12} p={:<3} K={:<4} M={} tables={:.1?} search={:.1?} entries={} outcome={}",

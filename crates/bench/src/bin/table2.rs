@@ -13,7 +13,6 @@
 //! ```
 
 use pase_bench::{compressed_report, pase_strategy, standard_tables};
-use pase_core::DpOptions;
 use pase_cost::MachineSpec;
 use pase_models::Benchmark;
 
@@ -56,7 +55,7 @@ fn main() {
             bench.build_for(p)
         };
         let tables = standard_tables(&graph, p, &machine);
-        let (outcome, strategy) = pase_strategy(&graph, &tables, &DpOptions::default());
+        let (outcome, strategy) = pase_strategy(&graph, &tables);
         println!("\n=== {} ===", bench.name());
         match strategy {
             Some(s) => {

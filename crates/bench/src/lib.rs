@@ -22,7 +22,7 @@ use pase_baselines::{
     data_parallel, gnmt_expert, mcmc_search, mesh_tf_expert, owt, CostOracle, McmcOptions,
     McmcResult,
 };
-use pase_core::{DpOptions, Search, SearchOutcome};
+use pase_core::{Search, SearchOutcome};
 use pase_cost::{
     ConfigRule, ConfigSpace, CostTables, DeviceMesh, MachineSpec, Strategy, TableOptions,
 };
@@ -89,14 +89,10 @@ pub fn expert_strategy(bench: Benchmark, graph: &Graph, p: u32) -> Strategy {
     }
 }
 
-/// Run PaSE's FindBestStrategy and return the outcome together with the
-/// extracted [`Strategy`] when it completed.
-pub fn pase_strategy(
-    graph: &Graph,
-    tables: &CostTables,
-    opts: &DpOptions,
-) -> (SearchOutcome, Option<Strategy>) {
-    let run = Search::new(graph).tables(tables).dp_options(*opts).run();
+/// Run PaSE's FindBestStrategy with the default search knobs and return
+/// the outcome together with the extracted [`Strategy`] when it completed.
+pub fn pase_strategy(graph: &Graph, tables: &CostTables) -> (SearchOutcome, Option<Strategy>) {
+    let run = Search::new(graph).tables(tables).run();
     let strategy = run
         .outcome()
         .found()
@@ -273,7 +269,7 @@ mod tests {
     fn pase_strategy_returns_extracted_strategy() {
         let g = Benchmark::AlexNet.build_tiny();
         let tables = standard_tables(&g, 4, &MachineSpec::test_machine());
-        let (outcome, strategy) = pase_strategy(&g, &tables, &DpOptions::default());
+        let (outcome, strategy) = pase_strategy(&g, &tables);
         assert!(outcome.found().is_some());
         assert_eq!(strategy.unwrap().len(), g.len());
     }

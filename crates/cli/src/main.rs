@@ -16,8 +16,8 @@ mod args;
 use args::Args;
 use pase_baselines::{data_parallel, gnmt_expert, mesh_tf_expert, owt};
 use pase_core::{
-    dependent_set_sizes, generate_seq, optcnn_search, DpKernel, FrontierPoint, PruneGate,
-    ReductionOutcome, Search, SearchOutcome, SearchReport, SearchResult, SearchStats,
+    dependent_set_sizes, generate_seq, optcnn_search, FrontierPoint, PruneGate, ReductionOutcome,
+    Search, SearchOutcome, SearchReport, SearchResult, SearchStats,
 };
 use pase_cost::{
     from_sharding_json, to_sharding_json, to_sharding_json_with, validate_strategy, ConfigRule,
@@ -63,14 +63,6 @@ OPTIONS:
                            whenever its fixed cost exceeds the predicted DP
                            savings (never changes results, only time;
                            default on)
-  --dp-kernel <scalar|tiled> (search, query) DP table-fill inner loop:
-                           \"tiled\" packs chunk-invariant cost rows and runs
-                           a blocked min+add microkernel (for frontier
-                           searches, the run-blocked frontier microkernel),
-                           \"scalar\" is the per-entry reference loop (A/B
-                           measurement; the optimum and the frontier's
-                           min-time point are bit-identical either way;
-                           default tiled)
   --frontier               (search, query) compute the whole (step-time x
                            peak-memory) Pareto frontier instead of a single
                            optimum
@@ -167,8 +159,6 @@ struct SearchKnobs {
     prune_epsilon: f64,
     /// `--prune-gate`: when to run the prune (`auto` decides per graph).
     gate: PruneGate,
-    /// `--dp-kernel`: which inner loop fills the DP tables.
-    kernel: DpKernel,
 }
 
 impl SearchKnobs {
@@ -182,18 +172,12 @@ impl SearchKnobs {
             Some(s) => PruneGate::parse(s)
                 .ok_or_else(|| format!("--prune-gate must be on, off, or auto, got '{s}'"))?,
         };
-        let kernel = match args.get("dp-kernel") {
-            None => DpKernel::default(),
-            Some(s) => DpKernel::parse(s)
-                .ok_or_else(|| format!("--dp-kernel must be scalar or tiled, got '{s}'"))?,
-        };
         Ok(Self {
             threads: args.get_or("search-threads", 0usize)?,
             intern: !args.has("no-intern"),
             prune: !args.has("no-prune"),
             prune_epsilon,
             gate,
-            kernel,
         })
     }
 }
@@ -233,7 +217,6 @@ fn search_strategy(
             } else {
                 PruneGate::Off
             })
-            .dp_kernel(knobs.kernel)
             .table_options(TableOptions {
                 intern: knobs.intern,
                 ..TableOptions::default()
@@ -303,7 +286,6 @@ fn frontier_search(
         } else {
             PruneGate::Off
         })
-        .dp_kernel(knobs.kernel)
         .table_options(TableOptions {
             intern: knobs.intern,
             ..TableOptions::default()
@@ -779,9 +761,6 @@ fn run() -> Result<(), String> {
                 if args.has("frontier") {
                     request.push_str(", \"frontier\": true");
                 }
-                if args.get("dp-kernel").is_some() {
-                    request.push_str(&format!(", \"dp_kernel\": \"{}\"", knobs.kernel.as_str()));
-                }
                 request.push('}');
                 if copies > 1 {
                     // One wire line, one response array — the batch path.
@@ -1026,21 +1005,6 @@ mod tests {
         .unwrap();
         assert_eq!(SearchKnobs::from_args(&g).unwrap().gate, PruneGate::Auto);
         assert_eq!(d.gate, PruneGate::On);
-        assert_eq!(d.kernel, DpKernel::Tiled);
-        let k = Args::parse(
-            "search --dp-kernel scalar"
-                .split_whitespace()
-                .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(SearchKnobs::from_args(&k).unwrap().kernel, DpKernel::Scalar);
-        let bad_kernel = Args::parse(
-            "search --dp-kernel simd"
-                .split_whitespace()
-                .map(String::from),
-        )
-        .unwrap();
-        assert!(SearchKnobs::from_args(&bad_kernel).is_err());
         let bad_gate = Args::parse(
             "search --prune-gate maybe"
                 .split_whitespace()
@@ -1073,7 +1037,6 @@ mod tests {
                 prune: true,
                 prune_epsilon: 0.0,
                 gate: PruneGate::On,
-                kernel: DpKernel::Tiled,
             },
             None,
         )
@@ -1089,7 +1052,6 @@ mod tests {
                 prune: false,
                 prune_epsilon: 0.0,
                 gate: PruneGate::On,
-                kernel: DpKernel::Scalar,
             },
             None,
         )

@@ -106,9 +106,10 @@ pub struct SearchStats {
     /// skipped it) — a skipped pass is *not* the same as a measured 0% hit
     /// rate.
     pub intern_hit_rate: Option<f64>,
-    /// Which DP fill kernel ran (`"scalar"` or `"tiled"`, the
-    /// [`crate::DpKernel`] wire spelling; empty on stats that never reached
-    /// the DP).
+    /// Which DP engine ran: `"tiled"` for scalar searches,
+    /// `"frontier-tiled"` for frontier searches (the [`crate::reference`]
+    /// oracles report `"scalar"` / `"frontier"`); empty on stats that never
+    /// reached the DP.
     pub dp_kernel: &'static str,
     /// `true` when the adaptive prune gate (`PruneGate::Auto`) decided to
     /// skip the dominance prune because its fixed cost was predicted to

@@ -30,23 +30,22 @@
 //!   accounting runs sequentially in position order first (table sizes are
 //!   content-independent), preserving the exact OOM/timeout semantics of a
 //!   sequential fill.
-//! * Each chunk decodes its first substrategy index once and then walks the
-//!   mixed-radix odometer **incrementally** — per entry, only the digits
-//!   that change are touched and the child-table base offsets are adjusted
-//!   by the corresponding coefficient deltas, replacing the per-entry
-//!   div/mod decode and coefficient dot product. Costs and choices are
-//!   written straight into the table's final arrays (no intermediate
-//!   tuple buffer).
+//! * Each chunk is filled by the packed, run-blocked min-plus microkernel
+//!   of [`crate::kernel`]: it decodes its first substrategy index once,
+//!   then walks the mixed-radix odometer **incrementally**, one
+//!   innermost-digit run at a time. Costs and choices are written straight
+//!   into the table's final arrays. The per-entry scalar loop it replaced
+//!   survives only as the test oracle [`crate::reference::scalar_search`].
 //! * Budgets are enforced *before* each allocation (`Oom`) and per chunk of
 //!   work (`Timeout`), reproducing Table I's failure modes without actually
 //!   exhausting the machine.
 
 use crate::budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
-use crate::kernel::{self, DpKernel};
+use crate::kernel;
 use crate::ordering::{make_ordering, OrderingKind};
-use crate::pool::{self, Scratch};
+use crate::pool;
 use crate::structure::{ConnectedSetMode, VertexStructure};
-use pase_cost::{CostTables, PruneOptions, PrunedTables};
+use pase_cost::CostTables;
 use pase_graph::{EdgeId, Graph, GraphError, NodeId};
 use pase_obs::{phase, span_in, OptSpan, Trace};
 use rayon::prelude::*;
@@ -58,36 +57,31 @@ use std::time::Instant;
 /// deadline checks.
 const CHUNK: usize = 4096;
 
+/// The `stats.dp_kernel` tag of the scalar engine: the tiled min-plus
+/// microkernel of [`crate::kernel`].
+pub(crate) const ENGINE: &str = "tiled";
+
 /// Options for the DP engine, assembled by [`crate::Search`] from its
 /// builder knobs.
 #[derive(Clone, Copy, Debug)]
-pub struct DpOptions {
+pub(crate) struct DpOptions {
     /// Vertex ordering (GenerateSeq by default).
-    pub ordering: OrderingKind,
+    pub(crate) ordering: OrderingKind,
     /// Connected-set mode: `Exact` = recurrence (4), `Prefix` = the naive
     /// recurrence (2).
-    pub mode: ConnectedSetMode,
+    pub(crate) mode: ConnectedSetMode,
     /// Resource limits.
-    pub budget: SearchBudget,
+    pub(crate) budget: SearchBudget,
     /// Fill tables wavefront-parallel with rayon; `false` fills strictly
     /// sequentially in position order (bit-identical results either way).
-    pub parallel: bool,
-    /// Inner-loop implementation for the table fill (bit-identical results
-    /// either way; see [`DpKernel`]).
-    pub kernel: DpKernel,
-    /// Frontier searches only: maximum points kept per DP state (and in
-    /// the returned frontier). Per-state Pareto sets can grow
-    /// combinatorially on deep graphs, so each state's frontier is
-    /// deterministically thinned to this width after exact dominance
-    /// pruning — both endpoints (the min-time point, preserving scalar
-    /// bit-parity, and the min-memory point, preserving the feasibility
-    /// floor) always survive. `0` disables thinning (exact, and
-    /// potentially exponential). Ignored by scalar searches.
-    pub frontier_width: usize,
+    pub(crate) parallel: bool,
+    /// Frontier searches only: maximum points kept per DP state (see
+    /// [`crate::Search::frontier_width`]).
+    pub(crate) frontier_width: usize,
 }
 
-/// Default per-state frontier width (see [`DpOptions::frontier_width`]).
-pub const DEFAULT_FRONTIER_WIDTH: usize = 8;
+/// Default per-state frontier width (see [`crate::Search::frontier_width`]).
+pub(crate) const DEFAULT_FRONTIER_WIDTH: usize = 8;
 
 impl Default for DpOptions {
     fn default() -> Self {
@@ -96,7 +90,6 @@ impl Default for DpOptions {
             mode: ConnectedSetMode::Exact,
             budget: SearchBudget::default(),
             parallel: true,
-            kernel: DpKernel::default(),
             frontier_width: DEFAULT_FRONTIER_WIDTH,
         }
     }
@@ -116,6 +109,16 @@ pub(crate) struct Table {
 }
 
 impl Table {
+    /// Install a filled `(costs, choice)` pair as `plan`'s table.
+    pub(crate) fn new(plan: &Plan, costs: Vec<f64>, choice: Vec<u16>) -> Self {
+        Self {
+            dep: plan.dep.clone(),
+            strides: plan.strides.clone(),
+            costs,
+            choice,
+        }
+    }
+
     /// Flat index of the substrategy selecting `assignment`'s configuration
     /// for every vertex of `dep`. Both `dep` and `assignment` are sorted by
     /// node id and `assignment ⊇ dep`, so one merge walk suffices.
@@ -193,132 +196,100 @@ pub fn naive_best_strategy(
         .into_outcome()
 }
 
-/// Fill `chunk.costs`/`chunk.choice` for the entry range starting at
-/// `chunk.start`, dispatching on the configured kernel. Both kernels are
-/// bit-identical; see [`DpKernel`]. The tiled kernel reads the vertex's
-/// shared operand pack (`packed`, built once per vertex by
-/// [`kernel::pack_vertex`]); the scalar kernel ignores it. Raises the
-/// odometer-overflow error a malformed plan causes.
-fn fill_chunk(
+/// Build the vertex ordering and its connected/dependent-set structure
+/// under a [`pase_obs::phase::STRUCTURE`] span. The structure depends only
+/// on `(graph, ordering, mode)`, never on the cost tables.
+pub(crate) fn build_structure(
+    graph: &Graph,
+    ordering: OrderingKind,
+    mode: ConnectedSetMode,
+    trace: Option<&Trace>,
+) -> VertexStructure {
+    let mut span = span_in(trace, phase::STRUCTURE);
+    let order = make_ordering(graph, ordering);
+    let s = VertexStructure::build(graph, &order, mode);
+    span.arg("nodes", graph.len());
+    span.arg("wavefronts", s.wavefronts().len());
+    s
+}
+
+/// Everything a table fill needs that does not depend on the DP value:
+/// the structure, every position's fill plan, the wall-clock window, and
+/// the stats accumulated so far.
+pub(crate) struct Prepared {
+    pub(crate) start: Instant,
+    pub(crate) deadline: Instant,
+    pub(crate) structure: VertexStructure,
+    pub(crate) plans: Vec<Plan>,
+    pub(crate) stats: SearchStats,
+}
+
+/// The prelude every DP driver shares — the scalar and frontier engines
+/// and the [`crate::reference`] oracles: stats initialization tagged with
+/// `engine`, the structure build (unless `prebuilt` is supplied — the
+/// adaptive gate builds it once for its estimate), and the
+/// budget-accounted plan pass. `Err` carries an outcome settled before any
+/// fill: the zero-cost strategy of an empty graph (`Found`), or the
+/// `Oom`/`Timeout` the plan pass hit.
+pub(crate) fn prepare(
+    graph: &Graph,
     tables: &CostTables,
-    plan: &Plan,
-    children: &[ChildCoef],
-    packed: Option<&kernel::PackedVertex>,
-    dp: &[Option<Table>],
-    scratch: &mut Scratch,
-    chunk: &mut FillChunk<'_>,
-    which: DpKernel,
-) -> Result<(), GraphError> {
-    match which {
-        DpKernel::Scalar => fill_chunk_scalar(tables, plan, children, dp, scratch, chunk),
-        DpKernel::Tiled => {
-            let packed = packed.expect("tiled kernel requires a packed vertex");
-            kernel::fill_chunk_tiled(tables, plan, packed, dp, scratch, chunk)
-        }
+    opts: &DpOptions,
+    trace: Option<&Trace>,
+    prebuilt: Option<VertexStructure>,
+    engine: &'static str,
+) -> Result<Prepared, SearchOutcome> {
+    let start = Instant::now();
+    if graph.is_empty() {
+        return Err(SearchOutcome::Found(SearchResult {
+            cost: 0.0,
+            config_ids: vec![],
+            stats: SearchStats {
+                dp_kernel: engine,
+                ..SearchStats::default()
+            },
+        }));
     }
+    let structure =
+        prebuilt.unwrap_or_else(|| build_structure(graph, opts.ordering, opts.mode, trace));
+    let deadline = start + opts.budget.max_time;
+    let mut stats = SearchStats {
+        max_dependent_set: structure.max_dependent_set(),
+        max_configs: tables.max_k(),
+        k_before: tables.max_k(),
+        wavefronts: structure.wavefronts().len(),
+        max_wavefront_width: structure.max_wavefront_width(),
+        intern_hit_rate: tables.intern_stats().hit_rate_opt(),
+        dp_kernel: engine,
+        ..SearchStats::default()
+    };
+    let plans = build_plans(
+        graph,
+        tables,
+        &structure,
+        &opts.budget,
+        start,
+        deadline,
+        &mut stats,
+        trace,
+    )?;
+    Ok(Prepared {
+        start,
+        deadline,
+        structure,
+        plans,
+        stats,
+    })
 }
 
-/// The scalar fill: decodes the first index once, then advances the digit
-/// odometer and the child base offsets incrementally, resolving every cost
-/// operand per `(entry, config)` pair through the table accessors.
-fn fill_chunk_scalar(
-    tables: &CostTables,
-    plan: &Plan,
-    children: &[ChildCoef],
-    dp: &[Option<Table>],
-    scratch: &mut Scratch,
-    chunk: &mut FillChunk<'_>,
-) -> Result<(), GraphError> {
-    let n_dep = plan.dep.len();
-    scratch.digits.clear();
-    scratch.digits.resize(n_dep, 0);
-    scratch.child_base.clear();
-    scratch.child_base.resize(children.len(), 0);
-
-    // Initial digit decode and child base offsets for the chunk's first
-    // entry — the only div/mod decode in the whole chunk.
-    for t in 0..n_dep {
-        scratch.digits[t] = ((chunk.start / plan.strides[t]) % u64::from(plan.radix[t])) as u16;
-    }
-    for (b, ch) in scratch.child_base.iter_mut().zip(children) {
-        *b = ch
-            .parent_coef
-            .iter()
-            .zip(scratch.digits.iter())
-            .map(|(&coef, &d)| coef * u64::from(d))
-            .sum();
-    }
-
-    let vi = plan.vi;
-    let kv = plan.kv;
-    let len = chunk.costs.len();
-    for off in 0..len {
-        let mut best = f64::INFINITY;
-        let mut best_c = 0u16;
-        for c in 0..kv {
-            let mut cost = tables.layer_cost(vi, c);
-            for &(e, slot, vi_is_src) in &plan.later_edges {
-                let w_cfg = scratch.digits[slot];
-                cost += if vi_is_src {
-                    tables.edge_cost(e, c, w_cfg)
-                } else {
-                    tables.edge_cost(e, w_cfg, c)
-                };
-            }
-            for (b, ch) in scratch.child_base.iter().zip(children) {
-                let idx = b + ch.vi_coef * u64::from(c);
-                cost += dp[ch.anchor].as_ref().expect("child table").costs[idx as usize];
-            }
-            if cost < best {
-                best = cost;
-                best_c = c;
-            }
-        }
-        chunk.costs[off] = best;
-        chunk.choice[off] = best_c;
-
-        if off + 1 == len {
-            break;
-        }
-        // Advance the odometer: bump the last digit; on wrap, carry. Each
-        // digit change adjusts every child base by the matching coefficient
-        // delta (+coef on increment, −coef·radix on wrap-around).
-        let mut t = n_dep;
-        loop {
-            if t == 0 {
-                return Err(kernel::odometer_overflow(plan, chunk.start));
-            }
-            t -= 1;
-            scratch.digits[t] += 1;
-            for (b, ch) in scratch.child_base.iter_mut().zip(children) {
-                *b += ch.parent_coef[t];
-            }
-            if u32::from(scratch.digits[t]) < plan.radix[t] {
-                break;
-            }
-            scratch.digits[t] = 0;
-            for (b, ch) in scratch.child_base.iter_mut().zip(children) {
-                *b -= ch.parent_coef[t] * u64::from(plan.radix[t]);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Outcome of the sequential budget-accounting plan pass: either every
-/// position's fill plan, or the early abort the budget forced.
-pub(crate) enum PlanPass {
-    Plans(Vec<Plan>),
-    Abort(SearchOutcome),
-}
-
-/// The sequential budget-accounting pass shared by the scalar and frontier
-/// engines. Table sizes are independent of table *contents*, so accounting
-/// in position order gives exactly the OOM/timeout behavior of a fully
-/// sequential fill, regardless of how the fill is later scheduled.
-/// Accumulates entry/state counts into `stats`.
+/// The sequential budget-accounting plan pass: every position's fill plan,
+/// or the early `Oom`/`Timeout` the budget forced. Table sizes are
+/// independent of table *contents*, so accounting in position order gives
+/// exactly the OOM/timeout behavior of a fully sequential fill, regardless
+/// of how the fill is later scheduled. Accumulates entry/state counts into
+/// `stats`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_plans(
+fn build_plans(
     graph: &Graph,
     tables: &CostTables,
     structure: &VertexStructure,
@@ -327,7 +298,7 @@ pub(crate) fn build_plans(
     deadline: Instant,
     stats: &mut SearchStats,
     trace: Option<&Trace>,
-) -> PlanPass {
+) -> Result<Vec<Plan>, SearchOutcome> {
     let n = graph.len();
     let mut plan_span = span_in(trace, phase::PLAN);
     let mut plans: Vec<Plan> = Vec::with_capacity(n);
@@ -342,7 +313,7 @@ pub(crate) fn build_plans(
                 Some(s) => size = s,
                 None => {
                     stats.elapsed = start.elapsed();
-                    return PlanPass::Abort(SearchOutcome::Oom {
+                    return Err(SearchOutcome::Oom {
                         needed_entries: u64::MAX,
                         stats: stats.clone(),
                     });
@@ -351,14 +322,14 @@ pub(crate) fn build_plans(
         }
         if stats.table_entries.saturating_add(size) > budget.max_table_entries {
             stats.elapsed = start.elapsed();
-            return PlanPass::Abort(SearchOutcome::Oom {
+            return Err(SearchOutcome::Oom {
                 needed_entries: stats.table_entries.saturating_add(size),
                 stats: stats.clone(),
             });
         }
         if Instant::now() > deadline {
             stats.elapsed = start.elapsed();
-            return PlanPass::Abort(SearchOutcome::Timeout {
+            return Err(SearchOutcome::Timeout {
                 stats: stats.clone(),
             });
         }
@@ -402,7 +373,7 @@ pub(crate) fn build_plans(
     plan_span.arg("tables", n);
     plan_span.arg("entries", stats.table_entries);
     drop(plan_span);
-    PlanPass::Plans(plans)
+    Ok(plans)
 }
 
 /// Linear-lookup coefficients of position `i`'s child tables. Needs only
@@ -439,328 +410,20 @@ pub(crate) fn child_coefs(plans: &[Plan], structure: &VertexStructure, i: usize)
         .collect()
 }
 
-/// The DP engine behind [`crate::Search`]: ordering + structure
-/// construction, budget-accounted planning, wavefront-parallel (or
-/// sequential) table fill, and back-substitution, with phase spans and a
-/// `table_bytes` counter recorded into `trace` when one is given
-/// (a [`pase_obs::phase::STRUCTURE`] span for ordering + structure
-/// construction, [`pase_obs::phase::PLAN`] for the budget-accounting pass,
-/// one `"wavefront <w>"` span per DP wavefront — or one
-/// [`pase_obs::phase::SEQUENTIAL_FILL`] span when `opts.parallel` is off —
-/// and [`pase_obs::phase::BACKTRACK`] for strategy extraction). Results are
-/// identical with and without a trace.
-///
-/// Accepts a caller-supplied [`VertexStructure`] (which depends only on the
-/// graph, ordering, and connected-set mode — never on the tables, so one
-/// build serves the adaptive gate's estimation, a pruned DP, and an
-/// unpruned DP alike). With `None` the structure is built here under the
-/// usual [`pase_obs::phase::STRUCTURE`] span.
-pub(crate) fn run_with_structure(
-    graph: &Graph,
-    tables: &CostTables,
-    opts: &DpOptions,
-    trace: Option<&Trace>,
-    prebuilt: Option<VertexStructure>,
-) -> Result<SearchOutcome, GraphError> {
-    let start = Instant::now();
-    let n = graph.len();
-    if n == 0 {
-        return Ok(SearchOutcome::Found(SearchResult {
-            cost: 0.0,
-            config_ids: vec![],
-            stats: SearchStats {
-                dp_kernel: opts.kernel.as_str(),
-                ..SearchStats::default()
-            },
-        }));
-    }
-    let structure = match prebuilt {
-        Some(s) => s,
-        None => {
-            let mut span = span_in(trace, phase::STRUCTURE);
-            let order = make_ordering(graph, opts.ordering);
-            let s = VertexStructure::build(graph, &order, opts.mode);
-            span.arg("nodes", n);
-            span.arg("wavefronts", s.wavefronts().len());
-            s
-        }
-    };
-    let deadline = start + opts.budget.max_time;
-
-    let mut stats = SearchStats {
-        max_dependent_set: structure.max_dependent_set(),
-        max_configs: tables.max_k(),
-        k_before: tables.max_k(),
-        wavefronts: structure.wavefronts().len(),
-        max_wavefront_width: structure.max_wavefront_width(),
-        intern_hit_rate: tables.intern_stats().hit_rate_opt(),
-        dp_kernel: opts.kernel.as_str(),
-        ..SearchStats::default()
-    };
-
-    let plans = match build_plans(
-        graph,
-        tables,
-        &structure,
-        &opts.budget,
-        start,
-        deadline,
-        &mut stats,
-        trace,
-    ) {
-        PlanPass::Plans(p) => p,
-        PlanPass::Abort(outcome) => return Ok(outcome),
-    };
-
-    // Child coefficients need only the child's *plan* (dep + strides), so
-    // they are precomputable for every position up front.
-    let children_of = |i: usize| -> Vec<ChildCoef> { child_coefs(&plans, &structure, i) };
-
-    let timed_out = AtomicBool::new(false);
-    let errored = AtomicBool::new(false);
-    // First fill error (the kernels only fail on a malformed plan); chunks
-    // observe `errored` and drain without working, like a timeout.
-    let fill_error: Mutex<Option<GraphError>> = Mutex::new(None);
-    // Cumulative bytes transposed into panel scratch by the tiled kernel
-    // (the pase-obs `packed_bytes` counter).
-    let packed_bytes = AtomicU64::new(0);
-    // The kernel sub-span is only recorded for the tiled kernel.
-    let ktrace = if opts.kernel == DpKernel::Tiled {
-        trace
-    } else {
-        None
-    };
-    let mut dp: Vec<Option<Table>> = (0..n).map(|_| None).collect();
-
-    // Install a finished (costs, choice) pair as position i's table.
-    let finish = |dp: &mut Vec<Option<Table>>, i: usize, costs: Vec<f64>, choice: Vec<u16>| {
-        let plan = &plans[i];
-        dp[i] = Some(Table {
-            dep: plan.dep.clone(),
-            strides: plan.strides.clone(),
-            costs,
-            choice,
-        });
-    };
-
-    let mut allocated_entries = 0u64;
-    if opts.parallel {
-        // Wavefront schedule: every table of a wave depends only on tables
-        // of earlier waves, so all chunks of all tables in the wave go into
-        // one shared work queue.
-        for (wi, wave) in structure.wavefronts().iter().enumerate() {
-            let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
-            let wave_children: Vec<Vec<ChildCoef>> = wave.iter().map(|&i| children_of(i)).collect();
-            let mut outs: Vec<(Vec<f64>, Vec<u16>)> = wave
-                .iter()
-                .map(|&i| pool::take_table(plans[i].size as usize))
-                .collect();
-            let total_entries: usize = wave.iter().map(|&i| plans[i].size as usize).sum();
-
-            let kernel_span = span_in(ktrace, phase::KERNEL);
-            // Pack each table's entry-invariant operands once, up front and
-            // in parallel; every chunk of a table shares its pack.
-            let wave_packed: Vec<Option<kernel::PackedVertex>> = if opts.kernel == DpKernel::Tiled {
-                let dp_ref = &dp;
-                (0..wave.len())
-                    .into_par_iter()
-                    .map(|w| {
-                        Some(kernel::pack_vertex(
-                            tables,
-                            &plans[wave[w]],
-                            &wave_children[w],
-                            dp_ref,
-                        ))
-                    })
-                    .collect()
-            } else {
-                wave.iter().map(|_| None).collect()
-            };
-            packed_bytes.fetch_add(
-                wave_packed
-                    .iter()
-                    .flatten()
-                    .map(|p| p.packed_bytes)
-                    .sum::<u64>(),
-                AtomicOrdering::Relaxed,
-            );
-            if total_entries >= CHUNK {
-                let mut chunks: Vec<FillChunk<'_>> = Vec::new();
-                for (w, (costs, choice)) in outs.iter_mut().enumerate() {
-                    let mut start = 0u64;
-                    for (cs, ch) in costs.chunks_mut(CHUNK).zip(choice.chunks_mut(CHUNK)) {
-                        let len = cs.len() as u64;
-                        chunks.push(FillChunk {
-                            plan_idx: w,
-                            start,
-                            costs: cs,
-                            choice: ch,
-                        });
-                        start += len;
-                    }
-                }
-                let dp_ref = &dp;
-                let plans_ref = &plans;
-                let wave_children_ref = &wave_children;
-                let wave_packed_ref = &wave_packed;
-                let timed_out_ref = &timed_out;
-                let errored_ref = &errored;
-                let fill_error_ref = &fill_error;
-                chunks
-                    .into_par_iter()
-                    .for_each_init(pool::take_scratch, |scratch, mut chunk| {
-                        if timed_out_ref.load(AtomicOrdering::Relaxed)
-                            || errored_ref.load(AtomicOrdering::Relaxed)
-                        {
-                            return;
-                        }
-                        if Instant::now() > deadline {
-                            timed_out_ref.store(true, AtomicOrdering::Relaxed);
-                            return;
-                        }
-                        let i = wave[chunk.plan_idx];
-                        if let Err(e) = fill_chunk(
-                            tables,
-                            &plans_ref[i],
-                            &wave_children_ref[chunk.plan_idx],
-                            wave_packed_ref[chunk.plan_idx].as_ref(),
-                            dp_ref,
-                            scratch,
-                            &mut chunk,
-                            opts.kernel,
-                        ) {
-                            errored_ref.store(true, AtomicOrdering::Relaxed);
-                            fill_error_ref.lock().unwrap().get_or_insert(e);
-                        }
-                    });
-            } else {
-                let mut scratch = pool::take_scratch();
-                for (w, (costs, choice)) in outs.iter_mut().enumerate() {
-                    if Instant::now() > deadline {
-                        timed_out.store(true, AtomicOrdering::Relaxed);
-                        break;
-                    }
-                    let i = wave[w];
-                    let mut chunk = FillChunk {
-                        plan_idx: w,
-                        start: 0,
-                        costs,
-                        choice,
-                    };
-                    if let Err(e) = fill_chunk(
-                        tables,
-                        &plans[i],
-                        &wave_children[w],
-                        wave_packed[w].as_ref(),
-                        &dp,
-                        &mut scratch,
-                        &mut chunk,
-                        opts.kernel,
-                    ) {
-                        errored.store(true, AtomicOrdering::Relaxed);
-                        fill_error.lock().unwrap().get_or_insert(e);
-                        break;
-                    }
-                }
-            }
-            drop(kernel_span);
-            wave_span.arg("tables", wave.len());
-            wave_span.arg("entries", total_entries);
-            drop(wave_span);
-            if timed_out.load(AtomicOrdering::Relaxed) || errored.load(AtomicOrdering::Relaxed) {
-                for (costs, choice) in outs {
-                    pool::recycle_table(costs, choice);
-                }
-                recycle_tables(dp);
-                if let Some(e) = fill_error.lock().unwrap().take() {
-                    return Err(e);
-                }
-                stats.elapsed = start.elapsed();
-                return Ok(SearchOutcome::Timeout { stats });
-            }
-            for (w, (costs, choice)) in outs.into_iter().enumerate() {
-                finish(&mut dp, wave[w], costs, choice);
-            }
-            if let Some(t) = trace {
-                allocated_entries += total_entries as u64;
-                t.counter("table_bytes", allocated_entries * DP_ENTRY_BYTES);
-                if opts.kernel == DpKernel::Tiled {
-                    t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-                }
-            }
-        }
-    } else {
-        // Strictly sequential fill in position order (the wavefront
-        // schedule produces bit-identical tables; this path exists for
-        // measurement and as the oracle in scheduling tests).
-        let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
-        fill_span.arg("tables", n);
-        fill_span.arg("entries", stats.table_entries);
-        let kernel_span = span_in(ktrace, phase::KERNEL);
-        let mut scratch = pool::take_scratch();
-        for i in 0..n {
-            let children = children_of(i);
-            let packed = (opts.kernel == DpKernel::Tiled)
-                .then(|| kernel::pack_vertex(tables, &plans[i], &children, &dp));
-            if let Some(p) = &packed {
-                packed_bytes.fetch_add(p.packed_bytes, AtomicOrdering::Relaxed);
-            }
-            let size = plans[i].size as usize;
-            let (mut costs, mut choice) = pool::take_table(size);
-            for lo in (0..size).step_by(CHUNK) {
-                if Instant::now() > deadline {
-                    pool::recycle_table(costs, choice);
-                    recycle_tables(dp);
-                    stats.elapsed = start.elapsed();
-                    return Ok(SearchOutcome::Timeout { stats });
-                }
-                let hi = (lo + CHUNK).min(size);
-                let mut chunk = FillChunk {
-                    plan_idx: i,
-                    start: lo as u64,
-                    costs: &mut costs[lo..hi],
-                    choice: &mut choice[lo..hi],
-                };
-                if let Err(e) = fill_chunk(
-                    tables,
-                    &plans[i],
-                    &children,
-                    packed.as_ref(),
-                    &dp,
-                    &mut scratch,
-                    &mut chunk,
-                    opts.kernel,
-                ) {
-                    pool::recycle_table(costs, choice);
-                    recycle_tables(dp);
-                    return Err(e);
-                }
-            }
-            finish(&mut dp, i, costs, choice);
-        }
-        drop(kernel_span);
-        if let Some(t) = trace {
-            if opts.kernel == DpKernel::Tiled {
-                t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-            }
-        }
-    }
-
-    // Total minimum cost: sum of the (singleton) root tables.
-    let mut backtrack_span = span_in(trace, phase::BACKTRACK);
-    backtrack_span.arg("roots", structure.roots().len());
+/// Back-substitution over fully filled scalar tables: the optimum (the sum
+/// of the singleton root tables, in root order) and the argmin
+/// configuration of every node. Walks from each root, assigning the stored
+/// argmin configuration and recursing into the connected subsets with the
+/// restricted substrategy. Assignments are kept sorted by node id so
+/// lookups are binary searches / merge walks instead of linear scans.
+pub(crate) fn backtrack(structure: &VertexStructure, dp: &[Option<Table>]) -> (f64, Vec<u16>) {
     let mut total = 0.0;
     for &r in structure.roots() {
         let t = dp[r].as_ref().expect("root table");
         debug_assert!(t.dep.is_empty(), "root must have an empty dependent set");
         total += t.costs[0];
     }
-
-    // Back-substitution: walk from each root, assigning the stored argmin
-    // configuration and recursing into the connected subsets with the
-    // restricted substrategy. Assignments are kept sorted by node id so
-    // lookups are binary searches / merge walks instead of linear scans.
-    let mut ids = vec![u16::MAX; n];
+    let mut ids = vec![u16::MAX; dp.len()];
     let mut stack: Vec<(usize, Vec<(NodeId, u16)>)> =
         structure.roots().iter().map(|&r| (r, Vec::new())).collect();
     while let Some((i, assignment)) = stack.pop() {
@@ -791,83 +454,247 @@ pub(crate) fn run_with_structure(
         ids.iter().all(|&c| c != u16::MAX),
         "every node must be assigned"
     );
+    (total, ids)
+}
+
+/// The scalar DP engine behind [`crate::Search`]: the shared [`prepare`]
+/// prelude, then the wavefront-parallel (or sequential) table fill through
+/// the tiled min-plus microkernel of [`crate::kernel`], then
+/// back-substitution. Records into `trace`, when one is given, a
+/// [`pase_obs::phase::STRUCTURE`] span for ordering + structure
+/// construction, [`pase_obs::phase::PLAN`] for the budget-accounting pass,
+/// one `"wavefront <w>"` span per DP wavefront — or one
+/// [`pase_obs::phase::SEQUENTIAL_FILL`] span when `opts.parallel` is off —
+/// each with a nested [`pase_obs::phase::KERNEL`] span, the `table_bytes`
+/// and `packed_bytes` counters, and [`pase_obs::phase::BACKTRACK`] for
+/// strategy extraction. Results are identical with and without a trace.
+///
+/// Accepts a caller-supplied [`VertexStructure`] (which depends only on the
+/// graph, ordering, and connected-set mode — never on the tables, so one
+/// build serves the adaptive gate's estimation, a pruned DP, and an
+/// unpruned DP alike).
+pub(crate) fn run_with_structure(
+    graph: &Graph,
+    tables: &CostTables,
+    opts: &DpOptions,
+    trace: Option<&Trace>,
+    prebuilt: Option<VertexStructure>,
+) -> Result<SearchOutcome, GraphError> {
+    let Prepared {
+        start,
+        deadline,
+        structure,
+        plans,
+        mut stats,
+    } = match prepare(graph, tables, opts, trace, prebuilt, ENGINE) {
+        Ok(p) => p,
+        Err(outcome) => return Ok(outcome),
+    };
+    let n = plans.len();
+
+    // Child coefficients need only the child's *plan* (dep + strides), so
+    // they are precomputable for every position up front.
+    let children_of = |i: usize| -> Vec<ChildCoef> { child_coefs(&plans, &structure, i) };
+
+    let timed_out = AtomicBool::new(false);
+    let errored = AtomicBool::new(false);
+    // First fill error (the kernel only fails on a malformed plan); chunks
+    // observe `errored` and drain without working, like a timeout.
+    let fill_error: Mutex<Option<GraphError>> = Mutex::new(None);
+    // Cumulative bytes transposed into panel scratch (the pase-obs
+    // `packed_bytes` counter).
+    let packed_bytes = AtomicU64::new(0);
+    let mut dp: Vec<Option<Table>> = (0..n).map(|_| None).collect();
+
+    let mut allocated_entries = 0u64;
+    if opts.parallel {
+        // Wavefront schedule: every table of a wave depends only on tables
+        // of earlier waves, so all chunks of all tables in the wave go into
+        // one shared work queue.
+        for (wi, wave) in structure.wavefronts().iter().enumerate() {
+            let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
+            let mut outs: Vec<(Vec<f64>, Vec<u16>)> = wave
+                .iter()
+                .map(|&i| pool::take_table(plans[i].size as usize))
+                .collect();
+            let total_entries: usize = wave.iter().map(|&i| plans[i].size as usize).sum();
+
+            let kernel_span = span_in(trace, phase::KERNEL);
+            // Pack each table's entry-invariant operands once, up front and
+            // in parallel; every chunk of a table shares its pack.
+            let wave_packed: Vec<kernel::PackedVertex> = {
+                let dp_ref = &dp;
+                (0..wave.len())
+                    .into_par_iter()
+                    .map(|w| {
+                        let i = wave[w];
+                        kernel::pack_vertex(tables, &plans[i], &children_of(i), dp_ref)
+                    })
+                    .collect()
+            };
+            packed_bytes.fetch_add(
+                wave_packed.iter().map(|p| p.packed_bytes).sum::<u64>(),
+                AtomicOrdering::Relaxed,
+            );
+            if total_entries >= CHUNK {
+                let mut chunks: Vec<FillChunk<'_>> = Vec::new();
+                for (w, (costs, choice)) in outs.iter_mut().enumerate() {
+                    let mut start = 0u64;
+                    for (cs, ch) in costs.chunks_mut(CHUNK).zip(choice.chunks_mut(CHUNK)) {
+                        let len = cs.len() as u64;
+                        chunks.push(FillChunk {
+                            plan_idx: w,
+                            start,
+                            costs: cs,
+                            choice: ch,
+                        });
+                        start += len;
+                    }
+                }
+                let dp_ref = &dp;
+                let plans_ref = &plans;
+                let wave_packed_ref = &wave_packed;
+                let timed_out_ref = &timed_out;
+                let errored_ref = &errored;
+                let fill_error_ref = &fill_error;
+                chunks
+                    .into_par_iter()
+                    .for_each_init(pool::take_scratch, |scratch, mut chunk| {
+                        if timed_out_ref.load(AtomicOrdering::Relaxed)
+                            || errored_ref.load(AtomicOrdering::Relaxed)
+                        {
+                            return;
+                        }
+                        if Instant::now() > deadline {
+                            timed_out_ref.store(true, AtomicOrdering::Relaxed);
+                            return;
+                        }
+                        let i = wave[chunk.plan_idx];
+                        if let Err(e) = kernel::fill_chunk_tiled(
+                            tables,
+                            &plans_ref[i],
+                            &wave_packed_ref[chunk.plan_idx],
+                            dp_ref,
+                            scratch,
+                            &mut chunk,
+                        ) {
+                            errored_ref.store(true, AtomicOrdering::Relaxed);
+                            fill_error_ref.lock().unwrap().get_or_insert(e);
+                        }
+                    });
+            } else {
+                let mut scratch = pool::take_scratch();
+                for (w, (costs, choice)) in outs.iter_mut().enumerate() {
+                    if Instant::now() > deadline {
+                        timed_out.store(true, AtomicOrdering::Relaxed);
+                        break;
+                    }
+                    let i = wave[w];
+                    let mut chunk = FillChunk {
+                        plan_idx: w,
+                        start: 0,
+                        costs,
+                        choice,
+                    };
+                    if let Err(e) = kernel::fill_chunk_tiled(
+                        tables,
+                        &plans[i],
+                        &wave_packed[w],
+                        &dp,
+                        &mut scratch,
+                        &mut chunk,
+                    ) {
+                        errored.store(true, AtomicOrdering::Relaxed);
+                        fill_error.lock().unwrap().get_or_insert(e);
+                        break;
+                    }
+                }
+            }
+            drop(kernel_span);
+            wave_span.arg("tables", wave.len());
+            wave_span.arg("entries", total_entries);
+            drop(wave_span);
+            if timed_out.load(AtomicOrdering::Relaxed) || errored.load(AtomicOrdering::Relaxed) {
+                for (costs, choice) in outs {
+                    pool::recycle_table(costs, choice);
+                }
+                recycle_tables(dp);
+                if let Some(e) = fill_error.lock().unwrap().take() {
+                    return Err(e);
+                }
+                stats.elapsed = start.elapsed();
+                return Ok(SearchOutcome::Timeout { stats });
+            }
+            for (w, (costs, choice)) in outs.into_iter().enumerate() {
+                dp[wave[w]] = Some(Table::new(&plans[wave[w]], costs, choice));
+            }
+            if let Some(t) = trace {
+                allocated_entries += total_entries as u64;
+                t.counter("table_bytes", allocated_entries * DP_ENTRY_BYTES);
+                t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
+            }
+        }
+    } else {
+        // Strictly sequential fill in position order (the wavefront
+        // schedule produces bit-identical tables; this path exists for
+        // measurement and as the oracle in scheduling tests).
+        let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
+        fill_span.arg("tables", n);
+        fill_span.arg("entries", stats.table_entries);
+        let kernel_span = span_in(trace, phase::KERNEL);
+        let mut scratch = pool::take_scratch();
+        for i in 0..n {
+            let packed = kernel::pack_vertex(tables, &plans[i], &children_of(i), &dp);
+            packed_bytes.fetch_add(packed.packed_bytes, AtomicOrdering::Relaxed);
+            let size = plans[i].size as usize;
+            let (mut costs, mut choice) = pool::take_table(size);
+            for lo in (0..size).step_by(CHUNK) {
+                if Instant::now() > deadline {
+                    pool::recycle_table(costs, choice);
+                    recycle_tables(dp);
+                    stats.elapsed = start.elapsed();
+                    return Ok(SearchOutcome::Timeout { stats });
+                }
+                let hi = (lo + CHUNK).min(size);
+                let mut chunk = FillChunk {
+                    plan_idx: i,
+                    start: lo as u64,
+                    costs: &mut costs[lo..hi],
+                    choice: &mut choice[lo..hi],
+                };
+                if let Err(e) = kernel::fill_chunk_tiled(
+                    tables,
+                    &plans[i],
+                    &packed,
+                    &dp,
+                    &mut scratch,
+                    &mut chunk,
+                ) {
+                    pool::recycle_table(costs, choice);
+                    recycle_tables(dp);
+                    return Err(e);
+                }
+            }
+            dp[i] = Some(Table::new(&plans[i], costs, choice));
+        }
+        drop(kernel_span);
+        if let Some(t) = trace {
+            t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
+        }
+    }
+
+    let mut backtrack_span = span_in(trace, phase::BACKTRACK);
+    backtrack_span.arg("roots", structure.roots().len());
+    let (cost, config_ids) = backtrack(&structure, &dp);
     drop(backtrack_span);
     recycle_tables(dp);
 
     stats.elapsed = start.elapsed();
     Ok(SearchOutcome::Found(SearchResult {
-        cost: total,
-        config_ids: ids,
+        cost,
+        config_ids,
         stats,
     }))
-}
-
-/// The prune-then-search pipeline behind [`crate::Search::pruning`]: a
-/// [`pase_obs::phase::PRUNE`] span for the dominance-pruning pass plus
-/// everything [`run_with_structure`] records for the DP proper.
-///
-/// Prunes `tables` first (see [`PrunedTables`]), runs the DP on the
-/// compacted tables — every dependent-set table is `∏ |C(w)|` entries wide,
-/// so the pruned `K` shrinks table sizes, fill work, and the budget
-/// accounting multiplicatively — and maps the argmin configuration ids back
-/// into the id space of the `tables` passed in. With `prune.epsilon == 0.0`
-/// the pruning is exact and the returned cost is bit-identical to the
-/// unpruned DP on the same tables; with a positive ε it is only guaranteed
-/// within `(1 + ε)` of the true optimum.
-///
-/// `stats.k_before` reports the pre-pruning `K` (while `stats.max_configs`
-/// is the pruned `K` the DP actually saw) and `stats.prune_time` the cost
-/// of the pruning pass, which is *included* in the budget's wall clock and
-/// in the reported `stats.elapsed`. If pruning alone exhausts the time
-/// budget the outcome is [`SearchOutcome::Timeout`] — the DP is never
-/// entered with a zero budget.
-///
-/// The caller-supplied [`VertexStructure`] (if any) is table-independent,
-/// so the one the adaptive gate built for its estimate drives the pruned
-/// DP unchanged.
-pub(crate) fn run_pruned_with_structure(
-    graph: &Graph,
-    tables: &CostTables,
-    opts: &DpOptions,
-    prune: &PruneOptions,
-    trace: Option<&Trace>,
-    prebuilt: Option<VertexStructure>,
-) -> Result<SearchOutcome, GraphError> {
-    let pruned = PrunedTables::build_traced(graph, tables, prune, trace);
-    let ps = *pruned.stats();
-    if ps.elapsed >= opts.budget.max_time {
-        // Pruning alone exhausted the wall clock. Report Timeout directly:
-        // entering the DP with a zero remaining budget could instead trip
-        // its OOM check first and mislabel the failure.
-        let stats = SearchStats {
-            max_configs: pruned.tables().max_k(),
-            k_before: ps.k_before,
-            prune_time: ps.elapsed,
-            elapsed: ps.elapsed,
-            dp_kernel: opts.kernel.as_str(),
-            ..SearchStats::default()
-        };
-        return Ok(SearchOutcome::Timeout { stats });
-    }
-    let mut remaining = *opts;
-    remaining.budget.max_time = opts.budget.max_time - ps.elapsed;
-    let mut outcome = run_with_structure(graph, pruned.tables(), &remaining, trace, prebuilt)?;
-    match &mut outcome {
-        SearchOutcome::Found(r) => {
-            r.config_ids = pruned.to_original_ids(&r.config_ids);
-            r.stats.k_before = ps.k_before;
-            r.stats.prune_time = ps.elapsed;
-            r.stats.elapsed += ps.elapsed;
-        }
-        SearchOutcome::Oom { stats, .. }
-        | SearchOutcome::Timeout { stats }
-        | SearchOutcome::Infeasible { stats, .. } => {
-            stats.k_before = ps.k_before;
-            stats.prune_time = ps.elapsed;
-            stats.elapsed += ps.elapsed;
-        }
-    }
-    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -875,7 +702,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force;
     use crate::Search;
-    use pase_cost::{ConfigRule, MachineSpec};
+    use pase_cost::{ConfigRule, MachineSpec, PruneOptions};
     use pase_graph::{DimRole, GraphBuilder, IterDim, Node, OpKind, TensorRef};
 
     fn fc(name: &str, ins: usize, b: u64, n: u64, c: u64) -> Node {
@@ -924,27 +751,27 @@ mod tests {
     fn check_against_brute(g: &Graph, p: u32) {
         let tables = CostTables::build(g, ConfigRule::new(p), &MachineSpec::test_machine());
         let (bf_cost, _) = brute_force(g, &tables);
-        for (label, opts) in [
-            ("generate-seq/exact", DpOptions::default()),
+        for (label, ordering, mode) in [
+            (
+                "generate-seq/exact",
+                OrderingKind::GenerateSeq,
+                ConnectedSetMode::Exact,
+            ),
             (
                 "bfs/prefix",
-                DpOptions {
-                    ordering: OrderingKind::BreadthFirst,
-                    mode: ConnectedSetMode::Prefix,
-                    ..DpOptions::default()
-                },
+                OrderingKind::BreadthFirst,
+                ConnectedSetMode::Prefix,
             ),
             (
                 "random/exact",
-                DpOptions {
-                    ordering: OrderingKind::Random { seed: 7 },
-                    ..DpOptions::default()
-                },
+                OrderingKind::Random { seed: 7 },
+                ConnectedSetMode::Exact,
             ),
         ] {
             let r = Search::new(g)
                 .tables(&tables)
-                .dp_options(opts)
+                .ordering(ordering)
+                .connected_sets(mode)
                 .run()
                 .expect_found(label);
             assert!(
@@ -1151,7 +978,7 @@ mod tests {
         // Diamond has repeated structures (b/c identical), so the interned
         // build must report sharing.
         assert!(r.stats.intern_hit_rate.expect("interning ran") > 0.0);
-        assert_eq!(r.stats.dp_kernel, DpKernel::default().as_str());
+        assert_eq!(r.stats.dp_kernel, ENGINE);
     }
 
     #[test]
@@ -1166,35 +993,13 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_tiled_kernels_agree_bitwise() {
-        for g in [chain3(), diamond()] {
-            let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
-            let scalar = Search::new(&g)
-                .tables(&tables)
-                .dp_kernel(DpKernel::Scalar)
-                .run()
-                .expect_found("scalar");
-            let tiled = Search::new(&g)
-                .tables(&tables)
-                .dp_kernel(DpKernel::Tiled)
-                .run()
-                .expect_found("tiled");
-            assert_eq!(scalar.cost.to_bits(), tiled.cost.to_bits());
-            assert_eq!(scalar.config_ids, tiled.config_ids);
-            assert_eq!(scalar.stats.dp_kernel, "scalar");
-            assert_eq!(tiled.stats.dp_kernel, "tiled");
-        }
-    }
-
-    #[test]
-    fn tiled_search_records_kernel_span_and_packed_bytes() {
+    fn search_records_kernel_span_and_packed_bytes() {
         use pase_obs::Trace;
         let g = diamond();
         let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
         let trace = Trace::new();
         Search::new(&g)
             .tables(&tables)
-            .dp_kernel(DpKernel::Tiled)
             .trace(&trace)
             .run()
             .expect_found("tiled traced");
@@ -1206,43 +1011,6 @@ mod tests {
             .counters()
             .iter()
             .any(|c| c.name == "packed_bytes" && c.value > 0));
-
-        // The scalar kernel records neither.
-        let trace = Trace::new();
-        Search::new(&g)
-            .tables(&tables)
-            .dp_kernel(DpKernel::Scalar)
-            .trace(&trace)
-            .run()
-            .expect_found("scalar traced");
-        assert!(!trace.spans().iter().any(|s| s.name == phase::KERNEL));
-        assert!(!trace.counters().iter().any(|c| c.name == "packed_bytes"));
-    }
-
-    #[test]
-    fn budget_exhausted_during_pruning_is_a_timeout() {
-        // Regression: a zero time budget used to be passed on to the DP as
-        // a saturated-to-zero remaining budget; the failure must instead be
-        // reported as Timeout before the DP is entered, with the pruning
-        // time accounted in the stats.
-        let g = diamond();
-        let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
-        let outcome = Search::new(&g)
-            .tables(&tables)
-            .budget(SearchBudget::with_max_time(std::time::Duration::ZERO))
-            .pruning(PruneOptions::default())
-            .run()
-            .into_outcome();
-        match outcome {
-            SearchOutcome::Timeout { stats } => {
-                assert!(stats.prune_time > std::time::Duration::ZERO);
-                assert_eq!(stats.elapsed, stats.prune_time);
-                assert!(stats.k_before > 0);
-                // The DP never ran: no states were evaluated.
-                assert_eq!(stats.states_evaluated, 0);
-            }
-            other => panic!("expected timeout, got {}", other.tag()),
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Per-state Pareto sets can grow combinatorially with graph depth (every
 //! distinct downstream (time, memory) tradeoff survives dominance), so
 //! each state's frontier is deterministically thinned to
-//! [`crate::DpOptions::frontier_width`] points after exact pruning. The
+//! [`crate::Search::frontier_width`] points after exact pruning. The
 //! thinning always keeps both endpoints — the min-time point (so the
 //! bit-parity argument below is unaffected) and the min-memory point (so
 //! the feasibility floor reported by `Infeasible` stays exact) — and
@@ -32,7 +32,7 @@
 //!   `a` is matched-or-beaten from `a'`. The surviving point *set* is the
 //!   exact frontier.
 //! * **Min-time bit-parity.** The base cost uses the same addition order
-//!   as the scalar kernel (layer cost, then later-edge costs in plan
+//!   as the scalar DP (layer cost, then later-edge costs in plan
 //!   order), children are folded in the same order the scalar loop adds
 //!   child table values, and the root frontiers are combined in the same
 //!   root order the scalar path sums. Each child frontier's min-time point
@@ -45,37 +45,33 @@
 //!
 //! ## The frontier microkernel
 //!
-//! [`crate::DpKernel`] selects between two fills:
-//!
-//! * `Scalar` — the incremental per-entry fill ([`fill_entry`],
-//!   `stats.dp_kernel == "frontier"`): per-entry div/mod digit decode,
-//!   per-configuration accessor reads, and the two-pointer
-//!   [`merge_pruned_runs`] per child fold.
-//! * `Tiled` (the default) — the run-blocked microkernel
-//!   ([`fill_chunk_frontier_tiled`], `stats.dp_kernel == "frontier-tiled"`),
-//!   mirroring `crate::kernel`: later-edge matrices are packed through the
-//!   same [`crate::kernel::pack_edges`] panel layout so the per-entry time
-//!   row is computed by fused slice passes instead of per-`(entry, config)`
-//!   accessor calls; entries are processed in innermost-digit runs with the
-//!   run-invariant *prefix merge* hoisted once per run (the frontier
-//!   analogue of the hoisted prefix sum — invariant leading children's
-//!   frontiers are folded once per run per configuration, and only the
-//!   varying operands are merged per entry); per-child folds and
-//!   single-child entries go through the batched k-way engine
-//!   ([`merge_runs_tiled`]) over reused, `crate::pool`-recycled scratch
-//!   arenas with two per-run batch-rejection tests (below); whole
-//!   configuration folds are skipped by the same endpoint test against the
-//!   entry's evolving frontier; and a degenerate-frontier fast path
-//!   collapses to the scalar tiled kernel's packed row pipeline (time
-//!   panels plus parallel packed memory-row panels) whenever every
-//!   contributing child frontier has length 1.
+//! Tables are filled by a run-blocked microkernel
+//! ([`fill_chunk_frontier_tiled`], `stats.dp_kernel == "frontier-tiled"`)
+//! mirroring `crate::kernel`: later-edge matrices are packed through the
+//! same [`crate::kernel::pack_edges`] panel layout so the per-entry time
+//! row is computed by fused slice passes instead of per-`(entry, config)`
+//! accessor calls; entries are processed in innermost-digit runs with the
+//! run-invariant *prefix merge* hoisted once per run (the frontier analogue
+//! of the hoisted prefix sum — invariant leading children's frontiers are
+//! folded once per run per configuration, and only the varying operands are
+//! merged per entry); per-child folds and single-child entries go through
+//! the batched k-way engine ([`merge_runs_tiled`]) over reused,
+//! `crate::pool`-recycled scratch arenas with two per-run batch-rejection
+//! tests (below); whole configuration folds are skipped by the same
+//! endpoint test against the entry's evolving frontier; and a
+//! degenerate-frontier fast path collapses to the scalar tiled kernel's
+//! packed row pipeline (time panels plus parallel packed memory-row panels)
+//! whenever every contributing child frontier has length 1. The
+//! incremental per-entry fill it replaced — per-entry div/mod digit decode,
+//! per-configuration accessor reads, and a two-pointer merge per child
+//! fold — survives only as the test oracle [`crate::reference::frontier`].
 //!
 //! **Exactness contract.** Every f64 addition tree is unchanged (hoisting
 //! computes a shared prefix once; folds replay the incremental fill's run
 //! order, width-cap thinning, and existing-wins tie rule), so at
 //! `frontier_width = 0` the only batch rejection in effect is the *exact*
 //! corner test ([`run_dominated`]) and the tables — not just the final
-//! frontier — are set-identical to the incremental fill's, point for
+//! frontier — are set-identical to the incremental oracle's, point for
 //! point, bitwise. At a positive width the microkernel additionally
 //! rejects any run or configuration that does not strictly improve the
 //! evolving frontier's min time or its memory floor (ties reject —
@@ -84,17 +80,17 @@
 //! *value* stays bit-identical to the scalar optimum and the memory-floor
 //! *value* stays exact at any width — the two answers
 //! `tests/frontier_parity.rs` pins — while each extreme point's companion
-//! coordinate and the width-thinned interior may differ from the
-//! incremental kernel's. Entries are computed independently, so both
-//! schedulers are bit-identical per kernel.
+//! coordinate and the width-thinned interior may differ from the oracle's.
+//! Entries are computed independently, so both schedulers are
+//! bit-identical.
 
-use crate::budget::{SearchOutcome, SearchStats, DP_ENTRY_BYTES};
-use crate::dp::{build_plans, child_coefs, ChildCoef, DpOptions, Plan, PlanPass};
-use crate::kernel::{self, DpKernel};
-use crate::ordering::make_ordering;
+use crate::budget::{SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
+use crate::dp::{child_coefs, prepare, ChildCoef, DpOptions, Plan, Prepared};
+use crate::kernel;
 use crate::pool;
+use crate::search::Filled;
 use crate::structure::VertexStructure;
-use pase_cost::{CostTables, PruneOptions, PrunedTables};
+use pase_cost::CostTables;
 use pase_graph::Graph;
 use pase_obs::{phase, span_in, OptSpan, Trace};
 use rayon::prelude::*;
@@ -103,6 +99,9 @@ use std::time::Instant;
 
 /// Entries per deadline check in the frontier fill.
 const CHUNK: usize = 1024;
+
+/// The `stats.dp_kernel` tag of the frontier engine.
+pub(crate) const ENGINE: &str = "frontier-tiled";
 
 /// Approximate bytes one frontier point occupies (time + memory + choice),
 /// excluding the per-child backtrack indices accounted separately.
@@ -165,36 +164,35 @@ impl StrategyFrontier {
     }
 
     /// The cheapest point whose memory fits `max_bytes`, or `None` when
-    /// even the min-memory point exceeds the budget. Memory is strictly
-    /// descending along the cost-sorted points, so the over-budget points
-    /// form a prefix and one binary search finds the answer.
+    /// even the min-memory point exceeds the budget (see
+    /// [`cheapest_within`]).
     pub fn cheapest_within(&self, max_bytes: u64) -> Option<&FrontierPoint> {
-        let i = self.points.partition_point(|p| p.memory_bytes > max_bytes);
-        self.points.get(i)
+        cheapest_within(&self.points, max_bytes)
+    }
+
+    /// Mutable access to the points' strategies, for mapping their
+    /// configuration ids into another id space (the order is unchanged).
+    pub(crate) fn points_mut(&mut self) -> &mut [FrontierPoint] {
+        &mut self.points
     }
 }
 
-/// Result of a frontier fill: the frontier plus stats, or a budget abort.
-pub(crate) enum FrontierFill {
-    Done(StrategyFrontier, SearchStats),
-    Abort(SearchOutcome),
+/// The cheapest of `points` whose memory fits `max_bytes`, or `None` when
+/// even the min-memory point exceeds the budget. `points` must be sorted as
+/// a [`StrategyFrontier`] is — cost ascending, memory strictly descending —
+/// so the over-budget points form a prefix and one binary search finds the
+/// answer.
+pub fn cheapest_within(points: &[FrontierPoint], max_bytes: u64) -> Option<&FrontierPoint> {
+    let i = points.partition_point(|p| p.memory_bytes > max_bytes);
+    points.get(i)
 }
 
 /// One `(time, memory, choice)` triple of a per-state frontier.
 #[derive(Clone, Copy)]
 pub(crate) struct Pt {
-    time: f64,
-    mem: u64,
-    choice: u16,
-}
-
-/// The frontier of one table entry: points plus, per point, the index of
-/// the chosen point on each child's frontier (`kids` stride = number of
-/// children of the position).
-#[derive(Default)]
-pub(crate) struct EntryFrontier {
-    pts: Vec<Pt>,
-    kids: Vec<u32>,
+    pub(crate) time: f64,
+    pub(crate) mem: u64,
+    pub(crate) choice: u16,
 }
 
 /// Frontier analogue of the scalar DP table, stored flat: entry `i`'s
@@ -222,19 +220,13 @@ impl FTable {
     }
 
     /// Entry `i`'s frontier points.
-    fn entry_pts(&self, i: usize) -> &[Pt] {
+    pub(crate) fn entry_pts(&self, i: usize) -> &[Pt] {
         &self.pts[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Entry `i`'s packed child rows (`stride` = children of the position).
     fn entry_kids(&self, i: usize, stride: usize) -> &[u32] {
         &self.kids[self.offsets[i] as usize * stride..self.offsets[i + 1] as usize * stride]
-    }
-
-    fn push_entry(&mut self, e: &EntryFrontier) {
-        self.pts.extend_from_slice(&e.pts);
-        self.kids.extend_from_slice(&e.kids);
-        self.offsets.push(self.pts.len() as u32);
     }
 
     /// Append `n` empty entries (timed-out fills keep the offsets valid).
@@ -278,8 +270,8 @@ struct Partial {
     kids: Vec<u32>,
 }
 
-/// Reusable buffers for both frontier fills ([`fill_entry`] and
-/// [`fill_chunk_frontier_tiled`]), recycled through `crate::pool`'s
+/// Reusable buffers for the frontier microkernel
+/// ([`fill_chunk_frontier_tiled`]), recycled through `crate::pool`'s
 /// thread-local pool. The hot fold works on flat parallel arrays —
 /// coordinates separate from the packed child-choice rows — so the
 /// combine/merge/prune inner loop moves small tuples instead of
@@ -294,7 +286,7 @@ pub(crate) struct FrontierScratch {
     acc_kids: Vec<u32>,
     /// Merge buffer, `(time, mem, run index, point index)` …
     cand: Vec<(f64, u64, u32, u32)>,
-    /// … and its double buffer for the incremental merge.
+    /// … and its double buffer.
     cand2: Vec<(f64, u64, u32, u32)>,
     /// Materialized shifted run fed to each batched merge.
     run_buf: Vec<(f64, u64, u32, u32)>,
@@ -303,13 +295,8 @@ pub(crate) struct FrontierScratch {
     /// Per-entry result across configurations (kids stride = children).
     result: Vec<Pt>,
     result_kids: Vec<u32>,
-    /// Per-configuration `[start, end)` ranges into `result`.
-    run_ranges: Vec<(u32, u32)>,
     /// The runs fed to each merge.
     runs: Vec<MergeRun>,
-    /// The finished entry, reused across calls.
-    out: EntryFrontier,
-    // --- microkernel-only buffers (empty on the incremental path) ---
     /// Per-child running row offsets, innermost contribution stripped.
     child_base: Vec<u64>,
     /// Per-child row-offset step per innermost-digit increment.
@@ -349,10 +336,7 @@ impl FrontierScratch {
         shed(&mut self.new_kids, cap);
         shed(&mut self.result, cap);
         shed(&mut self.result_kids, cap);
-        shed(&mut self.run_ranges, cap);
         shed(&mut self.runs, cap);
-        shed(&mut self.out.pts, cap);
-        shed(&mut self.out.kids, cap);
         shed(&mut self.pre, cap);
         shed(&mut self.trow, cap);
         shed(&mut self.mrow, cap);
@@ -364,134 +348,21 @@ impl FrontierScratch {
     }
 }
 
-/// One cursor of [`merge_pruned_runs`]: a contiguous, already-pruned run
+/// One cursor of a k-way frontier merge: a contiguous, already-pruned run
 /// of a shared `&[Pt]` buffer (time ascending, memory strictly
 /// descending), shifted by a per-run base `(bt, bm)`.
-struct MergeRun {
-    bt: f64,
-    bm: u64,
-    head: u32,
-    end: u32,
-}
-
-/// Merge already-pruned runs into the dominance-pruned frontier of their
-/// union, leaving `(time, mem, run, point index)` survivors in `m` in
-/// exactly the order — including tie-breaking — that a stable
-/// `(time, mem)` sort over all materialized candidates (in run-major
-/// insertion order) followed by a best-memory sweep would produce: the
-/// Pareto set is unique up to exact `(time, mem)` duplicates, which both
-/// formulations resolve to the lowest run index.
-///
-/// The fold is incremental — each run merges into the running frontier
-/// `m` — so two properties keep it near-linear in the *surviving* points:
-///
-/// * **Wholesale rejection.** If some merged point sits at-or-left of the
-///   run's first point in time and at-or-below its last point in memory,
-///   it dominates every point of the run (time only grows along the run,
-///   memory only shrinks to the last), and the run is skipped after one
-///   binary search.
-/// * **Span skipping.** Memory strictly decreases within both inputs of
-///   the two-pointer merge, so once a side's next point fails
-///   `mem < best` the whole dominated span is skipped with one binary
-///   search — those candidates sort later, where the sweep's `best` can
-///   only be smaller, so the sweep would drop them too.
-fn merge_pruned_runs(
-    runs: &[MergeRun],
-    pts: &[Pt],
-    width: usize,
-    m: &mut Vec<(f64, u64, u32, u32)>,
-    m2: &mut Vec<(f64, u64, u32, u32)>,
-) {
-    m.clear();
-    for (r, run) in runs.iter().enumerate() {
-        if run.head >= run.end {
-            continue;
-        }
-        let r = r as u32;
-        let emit = |h: u32| {
-            let p = &pts[h as usize];
-            (run.bt + p.time, run.bm + p.mem, r, h)
-        };
-        if m.is_empty() {
-            m.extend((run.head..run.end).map(emit));
-            thin_frontier(m, width);
-            continue;
-        }
-        // Contribution scan, read-only: a run point survives the sweep
-        // iff the merged prefix at-or-left of it in time (whose last
-        // element holds the prefix's minimum memory) does not already
-        // match-or-beat its memory. Within the run, earlier points never
-        // dominate later ones (memory strictly decreases), so domination
-        // can only come from `m` — the scan is exact, and a
-        // no-contribution run leaves `m` untouched at zero copy cost.
-        let mut contributes = false;
-        let mut i = 0usize;
-        for h in run.head..run.end {
-            let (t, mm, _, _) = emit(h);
-            while i < m.len() && m[i].0.total_cmp(&t).is_le() {
-                i += 1;
-            }
-            if i == 0 || m[i - 1].1 > mm {
-                contributes = true;
-                break;
-            }
-        }
-        if !contributes {
-            continue;
-        }
-        // Two-pointer merge of `m` and the run, existing points winning
-        // exact ties.
-        m2.clear();
-        let mut i = 0usize;
-        let mut h = run.head;
-        let mut best = u64::MAX;
-        loop {
-            let from_m = if i < m.len() && h < run.end {
-                let e = &m[i];
-                let (t, mm, _, _) = emit(h);
-                e.0.total_cmp(&t).then(e.1.cmp(&mm)).is_le()
-            } else if i < m.len() {
-                true
-            } else if h < run.end {
-                false
-            } else {
-                break;
-            };
-            if from_m {
-                let e = m[i];
-                i += 1;
-                if e.1 < best {
-                    best = e.1;
-                    m2.push(e);
-                } else {
-                    i += m[i..].partition_point(|e| e.1 >= best);
-                }
-            } else {
-                let e = emit(h);
-                h += 1;
-                if e.1 < best {
-                    best = e.1;
-                    m2.push(e);
-                } else {
-                    let tail = &pts[h as usize..run.end as usize];
-                    h += tail.partition_point(|p| run.bm + p.mem >= best) as u32;
-                }
-            }
-        }
-        std::mem::swap(m, m2);
-        // Keep the running frontier within the width cap between runs so
-        // later merges copy a bounded set. Thinning keeps index 0 and the
-        // last index, and later runs can only improve them, so the global
-        // min-time point (bit-parity) and the memory floor stay exact.
-        thin_frontier(m, width);
-    }
+pub(crate) struct MergeRun {
+    pub(crate) bt: f64,
+    pub(crate) bm: u64,
+    pub(crate) head: u32,
+    pub(crate) end: u32,
 }
 
 /// Dominance-prune `v` in place: sort by (time, memory) ascending — the
 /// sort is stable, so insertion order (configuration id, then child point
 /// combination) breaks exact ties deterministically — then keep each point
 /// only if its memory strictly improves on everything cheaper.
-fn prune_pareto<T>(v: &mut Vec<T>, key: impl Fn(&T) -> (f64, u64)) {
+pub(crate) fn prune_pareto<T>(v: &mut Vec<T>, key: impl Fn(&T) -> (f64, u64)) {
     v.sort_by(|a, b| {
         let (ta, ma) = key(a);
         let (tb, mb) = key(b);
@@ -516,7 +387,7 @@ fn prune_pareto<T>(v: &mut Vec<T>, key: impl Fn(&T) -> (f64, u64)) {
 /// interior points. Any subset of a dominance-free sorted set is itself a
 /// valid frontier. `width == 0` disables thinning; `width == 1` would
 /// lose the memory floor, so it is clamped to 2.
-fn thin_frontier<T>(v: &mut Vec<T>, width: usize) {
+pub(crate) fn thin_frontier<T>(v: &mut Vec<T>, width: usize) {
     if width == 0 || v.len() <= width {
         return;
     }
@@ -535,127 +406,13 @@ fn thin_frontier<T>(v: &mut Vec<T>, width: usize) {
     });
 }
 
-/// Compute the frontier of one table entry into `s.out`. Mirrors the
-/// scalar kernel's addition order exactly: layer cost, later-edge costs in
-/// plan order, then child values in child order.
-fn fill_entry(
-    tables: &CostTables,
-    plan: &Plan,
-    children: &[ChildCoef],
-    dp: &[Option<FTable>],
-    flat: u64,
-    width: usize,
-    s: &mut FrontierScratch,
-) {
-    s.digits.clear();
-    for t in 0..plan.dep.len() {
-        s.digits
-            .push(((flat / plan.strides[t]) % u64::from(plan.radix[t])) as u16);
-    }
-    let vi = plan.vi;
-    let mem_row = tables.memory_row(vi);
-    let n_children = children.len();
-
-    s.result.clear();
-    s.result_kids.clear();
-    s.run_ranges.clear();
-    for c in 0..plan.kv {
-        let mut time = tables.layer_cost(vi, c);
-        for &(e, slot, vi_is_src) in &plan.later_edges {
-            let w_cfg = s.digits[slot];
-            time += if vi_is_src {
-                tables.edge_cost(e, c, w_cfg)
-            } else {
-                tables.edge_cost(e, w_cfg, c)
-            };
-        }
-        s.acc.clear();
-        s.acc_kids.clear();
-        s.acc.push((time, mem_row[c as usize]));
-        for (depth, ch) in children.iter().enumerate() {
-            let base: u64 = ch
-                .parent_coef
-                .iter()
-                .zip(s.digits.iter())
-                .map(|(&coef, &d)| coef * u64::from(d))
-                .sum();
-            let idx = (base + ch.vi_coef * u64::from(c)) as usize;
-            let cf_pts = dp[ch.anchor]
-                .as_ref()
-                .expect("child frontier")
-                .entry_pts(idx);
-            // Combine: one run per partial, all over the child's frontier.
-            // Run order is acc-major, so the merge's tie-break reproduces
-            // the insertion order a materialize-and-stable-sort had.
-            s.runs.clear();
-            for &(at, am) in s.acc.iter() {
-                s.runs.push(MergeRun {
-                    bt: at,
-                    bm: am,
-                    head: 0,
-                    end: cf_pts.len() as u32,
-                });
-            }
-            merge_pruned_runs(&s.runs, cf_pts, width, &mut s.cand, &mut s.cand2);
-            thin_frontier(&mut s.cand, width);
-            // Rebuild the partial set (rows grow by one choice per stage).
-            s.new_kids.clear();
-            for &(_, _, ai, pi) in &s.cand {
-                s.new_kids
-                    .extend_from_slice(&s.acc_kids[ai as usize * depth..][..depth]);
-                s.new_kids.push(pi);
-            }
-            std::mem::swap(&mut s.acc_kids, &mut s.new_kids);
-            s.acc.clear();
-            s.acc.extend(s.cand.iter().map(|&(t, m, _, _)| (t, m)));
-        }
-        let start = s.result.len() as u32;
-        for (i, &(t, m)) in s.acc.iter().enumerate() {
-            s.result.push(Pt {
-                time: t,
-                mem: m,
-                choice: c,
-            });
-            s.result_kids
-                .extend_from_slice(&s.acc_kids[i * n_children..][..n_children]);
-        }
-        s.run_ranges.push((start, s.result.len() as u32));
-    }
-
-    // Final prune across configurations: each configuration's partial set
-    // is already a frontier, so this is another pruned merge — run order
-    // is configuration-major, matching the old index-sort's stable
-    // tie-break — collecting surviving indices so the packed kids rows
-    // move once.
-    s.runs.clear();
-    for &(start, end) in &s.run_ranges {
-        s.runs.push(MergeRun {
-            bt: 0.0,
-            bm: 0,
-            head: start,
-            end,
-        });
-    }
-    merge_pruned_runs(&s.runs, &s.result, width, &mut s.cand, &mut s.cand2);
-    thin_frontier(&mut s.cand, width);
-
-    s.out.pts.clear();
-    s.out.kids.clear();
-    for &(_, _, _, i) in &s.cand {
-        s.out.pts.push(s.result[i as usize]);
-        s.out
-            .kids
-            .extend_from_slice(&s.result_kids[i as usize * n_children..][..n_children]);
-    }
-}
-
 /// Approximate heap bytes of one table's frontiers, for budget accounting.
 fn table_bytes(t: &FTable, n_children: usize) -> u64 {
     t.pts.len() as u64 * (POINT_BYTES + 4 * n_children as u64)
 }
 
 /// One merge candidate: `(time, memory, run index, point index)`.
-type Cand = (f64, u64, u32, u32);
+pub(crate) type Cand = (f64, u64, u32, u32);
 
 /// Whether a pruned run whose minimum time is exactly `t_lb` and minimum
 /// memory exactly `m_lb` is wholly dominated by the running frontier `m` —
@@ -672,9 +429,14 @@ fn run_dominated(m: &[Cand], t_lb: f64, m_lb: u64) -> bool {
     j > 0 && m[j - 1].1 <= m_lb
 }
 
-/// The tiled microkernel's k-way merge: [`merge_pruned_runs`] semantics
-/// with two batched rejection tests performed per run before the
-/// contribution scan touches any interior point.
+/// The microkernel's k-way merge: merges already-pruned runs into the
+/// dominance-pruned frontier of their union, leaving `(time, mem, run,
+/// point index)` survivors in `m` in exactly the order — including
+/// tie-breaking — that a stable `(time, mem)` sort over all materialized
+/// candidates (in run-major insertion order) followed by a best-memory
+/// sweep would produce, as the incremental oracle's `merge_pruned_runs`
+/// (`crate::reference`) does. Two batched rejection tests run per run
+/// before the contribution scan touches any interior point.
 ///
 /// * **Exact corner rejection** (always on): a merged point at-or-left of
 ///   the run's first point in time and at-or-below its last point in
@@ -725,8 +487,10 @@ fn merge_runs_tiled(
         if rejected {
             continue;
         }
-        // Exact contribution scan, then the two-pointer merge — shared
-        // with the incremental engine.
+        // Exact contribution scan (a run point survives iff the merged
+        // prefix at-or-left of it in time does not already match-or-beat
+        // its memory), then the two-pointer merge with existing points
+        // winning exact ties and dominated spans skipped by binary search.
         let mut contributes = false;
         let mut i = 0usize;
         for h in run.head..run.end {
@@ -784,7 +548,7 @@ fn merge_runs_tiled(
     }
 }
 
-/// Batched counterpart of one [`merge_pruned_runs`] step: merge one
+/// Batched counterpart of one incremental merge step: merge one
 /// already-pruned, already-shifted run (time ascending, memory strictly
 /// descending) into the running frontier `m`, then thin to `width`. The
 /// linear merge-then-prune drops exactly the candidates the incremental
@@ -792,7 +556,7 @@ fn merge_runs_tiled(
 /// 8 the straight-line sweep beats the branchy searches — and keeps the
 /// same existing-wins rule on exact `(time, mem)` ties, so the resulting
 /// `m` is bit-identical run for run.
-fn merge_run_batched(m: &mut Vec<Cand>, m2: &mut Vec<Cand>, run: &[Cand], width: usize) {
+pub(crate) fn merge_run_batched(m: &mut Vec<Cand>, m2: &mut Vec<Cand>, run: &[Cand], width: usize) {
     if run.is_empty() {
         return;
     }
@@ -830,11 +594,10 @@ fn merge_run_batched(m: &mut Vec<Cand>, m2: &mut Vec<Cand>, run: &[Cand], width:
 }
 
 /// One child-fold stage of the microkernel's per-configuration fold —
-/// the same k-way [`merge_pruned_runs`] call [`fill_entry`] makes, plus
-/// the kids rebuild: acc-major runs over the child's frontier, merged by
-/// the shared engine (wholesale rejection, contribution scan, span
-/// skipping), so the fold's per-candidate cost matches the incremental
-/// kernel's bit for bit.
+/// the k-way merge the incremental oracle makes per child, plus the kids
+/// rebuild: acc-major runs over the child's frontier, merged exactly
+/// ([`merge_runs_tiled`] without the lossy endpoint test), so the fold
+/// matches the oracle's bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn fold_child_batched(
     cf_pts: &[Pt],
@@ -1048,8 +811,8 @@ fn pack_frontier_vertex(
 /// * the invariant prefix of the **time row** (layer cost plus leading
 ///   later-edges that never read the innermost digit) is summed by fused
 ///   slice passes once per run; the remaining edges are added per entry —
-///   the same addition tree as [`fill_entry`], computed `kv` lanes at a
-///   time;
+///   the same addition tree as the incremental oracle, computed `kv` lanes
+///   at a time;
 /// * when the whole time row is run-invariant, the per-configuration folds
 ///   of the leading innermost-invariant children (the **prefix merge**)
 ///   are hoisted once per run, and each entry resumes the fold at the
@@ -1066,9 +829,9 @@ fn pack_frontier_vertex(
 ///   over the time panels and exact `u64` passes over the memory panels,
 ///   followed by the per-entry cross-configuration merge.
 ///
-/// Every merge replays [`fill_entry`]'s run order, thinning, and tie
-/// rules through [`merge_run_batched`], so the produced table is
-/// bit-identical to the incremental fill's.
+/// Every merge replays the incremental oracle's run order, thinning, and
+/// tie rules through [`merge_run_batched`], so at `width == 0` the produced
+/// table is set-identical to the oracle's.
 #[allow(clippy::too_many_arguments)]
 fn fill_chunk_frontier_tiled(
     tables: &CostTables,
@@ -1531,79 +1294,38 @@ fn fill_chunk_frontier_tiled(
     }
 }
 
-/// The `stats.dp_kernel` tag of a frontier run under each kernel option.
-fn frontier_kernel_name(kernel: DpKernel) -> &'static str {
-    match kernel {
-        DpKernel::Scalar => "frontier",
-        DpKernel::Tiled => "frontier-tiled",
-    }
-}
-
 /// The frontier engine behind [`crate::Search::frontier`] /
-/// [`crate::Search::max_memory_bytes`]: same ordering, structure, planning,
-/// budget accounting, and scheduling shell as the scalar
-/// `run_with_structure`, with a frontier of `(time, memory)` points per
-/// table entry and a backtrack that extracts the full strategy of *every*
-/// global Pareto point.
+/// [`crate::Search::max_memory_bytes`]: the shared [`prepare`] prelude and
+/// the same scheduling shell as the scalar `run_with_structure`, with a
+/// frontier of `(time, memory)` points per table entry filled by the
+/// microkernel, and a backtrack that extracts the full strategy of *every*
+/// global Pareto point. A completed fill returns the frontier plus its
+/// min-time point as the `Found` outcome; a budget abort returns no
+/// frontier.
 pub(crate) fn run_frontier_with_structure(
     graph: &Graph,
     tables: &CostTables,
     opts: &DpOptions,
     trace: Option<&Trace>,
     prebuilt: Option<VertexStructure>,
-) -> FrontierFill {
-    let start = Instant::now();
-    let n = graph.len();
-    if n == 0 {
-        let frontier = StrategyFrontier::new(vec![FrontierPoint {
-            cost: 0.0,
-            memory_bytes: 0,
-            config_ids: vec![],
-        }]);
-        let stats = SearchStats {
-            dp_kernel: frontier_kernel_name(opts.kernel),
-            frontier_len: 1,
-            ..SearchStats::default()
-        };
-        return FrontierFill::Done(frontier, stats);
-    }
-    let structure = match prebuilt {
-        Some(s) => s,
-        None => {
-            let mut span = span_in(trace, phase::STRUCTURE);
-            let order = make_ordering(graph, opts.ordering);
-            let s = VertexStructure::build(graph, &order, opts.mode);
-            span.arg("nodes", n);
-            span.arg("wavefronts", s.wavefronts().len());
-            s
-        }
-    };
-    let deadline = start + opts.budget.max_time;
-
-    let mut stats = SearchStats {
-        max_dependent_set: structure.max_dependent_set(),
-        max_configs: tables.max_k(),
-        k_before: tables.max_k(),
-        wavefronts: structure.wavefronts().len(),
-        max_wavefront_width: structure.max_wavefront_width(),
-        intern_hit_rate: tables.intern_stats().hit_rate_opt(),
-        dp_kernel: frontier_kernel_name(opts.kernel),
-        ..SearchStats::default()
-    };
-
-    let plans = match build_plans(
-        graph,
-        tables,
-        &structure,
-        &opts.budget,
+) -> Filled {
+    let Prepared {
         start,
         deadline,
-        &mut stats,
-        trace,
-    ) {
-        PlanPass::Plans(p) => p,
-        PlanPass::Abort(outcome) => return FrontierFill::Abort(outcome),
+        structure,
+        plans,
+        mut stats,
+    } = match prepare(graph, tables, opts, trace, prebuilt, ENGINE) {
+        Ok(p) => p,
+        Err(SearchOutcome::Found(r)) => return done(vec![empty_point()], r.stats),
+        Err(outcome) => {
+            return Filled {
+                outcome,
+                frontier: None,
+            }
+        }
     };
+    let n = plans.len();
 
     let timed_out = AtomicBool::new(false);
     let mut dp: Vec<Option<FTable>> = (0..n).map(|_| None).collect();
@@ -1612,12 +1334,9 @@ pub(crate) fn run_frontier_with_structure(
     // unlike the scalar entry accounting — this cannot run up front).
     let mut frontier_bytes: u64 = 0;
     let byte_cap = opts.budget.max_table_bytes();
-    let tiled = opts.kernel == DpKernel::Tiled;
-    // Cumulative bytes transposed into panel scratch by the tiled kernel
-    // (the pase-obs `packed_bytes` counter); the kernel sub-span is only
-    // recorded for the tiled kernel, mirroring the scalar engine.
+    // Cumulative bytes transposed into panel scratch (the pase-obs
+    // `packed_bytes` counter).
     let packed_bytes = AtomicU64::new(0);
-    let ktrace = if tiled { trace } else { None };
     let width = opts.frontier_width;
     let recycle_dp = |dp: Vec<Option<FTable>>| {
         for t in dp.into_iter().flatten() {
@@ -1625,10 +1344,10 @@ pub(crate) fn run_frontier_with_structure(
         }
     };
 
-    // Fill one position's table: pack the entry-invariant operands once
-    // (tiled kernel), then fill CHUNK-sized blocks — across the rayon pool
-    // when parallelism is on — recycling scratch and per-chunk tables
-    // through the thread-local pools.
+    // Fill one position's table: pack the entry-invariant operands once,
+    // then fill CHUNK-sized blocks — across the rayon pool when parallelism
+    // is on — recycling scratch and per-chunk tables through the
+    // thread-local pools.
     let fill_table = |i: usize,
                       children: &[ChildCoef],
                       dp: &[Option<FTable>],
@@ -1636,35 +1355,25 @@ pub(crate) fn run_frontier_with_structure(
      -> FTable {
         let plan = &plans[i];
         let size = plan.size as usize;
-        let pack = tiled.then(|| pack_frontier_vertex(tables, plan, children, dp));
-        if let Some(p) = &pack {
-            packed_bytes.fetch_add(p.packed_bytes, AtomicOrdering::Relaxed);
-        }
+        let pack = pack_frontier_vertex(tables, plan, children, dp);
+        packed_bytes.fetch_add(pack.packed_bytes, AtomicOrdering::Relaxed);
         let fill_chunk = |scratch: &mut FrontierScratch, out: &mut FTable, lo: usize, hi: usize| {
             if timed_out.load(AtomicOrdering::Relaxed) || Instant::now() > deadline {
                 timed_out.store(true, AtomicOrdering::Relaxed);
                 out.push_empty(hi - lo);
                 return;
             }
-            match &pack {
-                Some(p) => fill_chunk_frontier_tiled(
-                    tables,
-                    plan,
-                    p,
-                    dp,
-                    width,
-                    lo as u64,
-                    hi - lo,
-                    scratch,
-                    out,
-                ),
-                None => {
-                    for flat in lo..hi {
-                        fill_entry(tables, plan, children, dp, flat as u64, width, scratch);
-                        out.push_entry(&scratch.out);
-                    }
-                }
-            }
+            fill_chunk_frontier_tiled(
+                tables,
+                plan,
+                &pack,
+                dp,
+                width,
+                lo as u64,
+                hi - lo,
+                scratch,
+                out,
+            );
         };
         if opts.parallel && size >= CHUNK {
             let parts: Vec<FTable> = (0..size.div_ceil(CHUNK))
@@ -1696,7 +1405,7 @@ pub(crate) fn run_frontier_with_structure(
     if opts.parallel {
         for (wi, wave) in structure.wavefronts().iter().enumerate() {
             let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
-            let kernel_span = span_in(ktrace, phase::KERNEL);
+            let kernel_span = span_in(trace, phase::KERNEL);
             for &i in wave {
                 let children = child_coefs(&plans, &structure, i);
                 let t = fill_table(i, &children, &dp, &timed_out);
@@ -1707,20 +1416,18 @@ pub(crate) fn run_frontier_with_structure(
             wave_span.arg("tables", wave.len());
             drop(wave_span);
             if let Some(t) = trace {
-                if tiled {
-                    t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-                }
+                t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
             }
             if timed_out.load(AtomicOrdering::Relaxed) {
                 recycle_dp(dp);
                 stats.elapsed = start.elapsed();
-                return FrontierFill::Abort(SearchOutcome::Timeout { stats });
+                return aborted(SearchOutcome::Timeout { stats });
             }
             if frontier_bytes > byte_cap {
                 recycle_dp(dp);
                 stats.peak_table_bytes = stats.peak_table_bytes.max(frontier_bytes);
                 stats.elapsed = start.elapsed();
-                return FrontierFill::Abort(SearchOutcome::Oom {
+                return aborted(SearchOutcome::Oom {
                     needed_entries: frontier_bytes / DP_ENTRY_BYTES,
                     stats,
                 });
@@ -1729,7 +1436,7 @@ pub(crate) fn run_frontier_with_structure(
     } else {
         let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
         fill_span.arg("tables", n);
-        let kernel_span = span_in(ktrace, phase::KERNEL);
+        let kernel_span = span_in(trace, phase::KERNEL);
         for i in 0..n {
             let children = child_coefs(&plans, &structure, i);
             let t = fill_table(i, &children, &dp, &timed_out);
@@ -1738,13 +1445,13 @@ pub(crate) fn run_frontier_with_structure(
             if timed_out.load(AtomicOrdering::Relaxed) {
                 recycle_dp(dp);
                 stats.elapsed = start.elapsed();
-                return FrontierFill::Abort(SearchOutcome::Timeout { stats });
+                return aborted(SearchOutcome::Timeout { stats });
             }
             if frontier_bytes > byte_cap {
                 recycle_dp(dp);
                 stats.peak_table_bytes = stats.peak_table_bytes.max(frontier_bytes);
                 stats.elapsed = start.elapsed();
-                return FrontierFill::Abort(SearchOutcome::Oom {
+                return aborted(SearchOutcome::Oom {
                     needed_entries: frontier_bytes / DP_ENTRY_BYTES,
                     stats,
                 });
@@ -1753,17 +1460,67 @@ pub(crate) fn run_frontier_with_structure(
         drop(kernel_span);
         drop(fill_span);
         if let Some(t) = trace {
-            if tiled {
-                t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-            }
+            t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
         }
     }
     stats.peak_table_bytes = stats.peak_table_bytes.max(frontier_bytes);
 
-    // Combine the (singleton) root frontiers in root order — the same
-    // order, and therefore the same addition tree, as the scalar root sum.
     let mut backtrack_span = span_in(trace, phase::BACKTRACK);
     backtrack_span.arg("roots", structure.roots().len());
+    let points = backtrack_frontier(tables, &structure, &plans, &dp, width);
+    drop(backtrack_span);
+    recycle_dp(dp);
+
+    stats.elapsed = start.elapsed();
+    done(points, stats)
+}
+
+/// The only strategy of an empty graph: zero time, zero memory.
+pub(crate) fn empty_point() -> FrontierPoint {
+    FrontierPoint {
+        cost: 0.0,
+        memory_bytes: 0,
+        config_ids: vec![],
+    }
+}
+
+/// A completed frontier fill: the frontier, with its min-time point as the
+/// `Found` outcome.
+fn done(points: Vec<FrontierPoint>, mut stats: SearchStats) -> Filled {
+    stats.frontier_len = points.len();
+    let best = &points[0];
+    let outcome = SearchOutcome::Found(SearchResult {
+        cost: best.cost,
+        config_ids: best.config_ids.clone(),
+        stats,
+    });
+    Filled {
+        outcome,
+        frontier: Some(StrategyFrontier::new(points)),
+    }
+}
+
+/// A fill the budget stopped: the outcome, no frontier.
+fn aborted(outcome: SearchOutcome) -> Filled {
+    Filled {
+        outcome,
+        frontier: None,
+    }
+}
+
+/// Back-substitution over fully filled frontier tables: combines the
+/// (singleton) root frontiers in root order — the same order, and
+/// therefore the same addition tree, as the scalar root sum — prunes and
+/// thins the global set to `width`, then extracts the full strategy of
+/// every surviving Pareto point.
+pub(crate) fn backtrack_frontier(
+    tables: &CostTables,
+    structure: &VertexStructure,
+    plans: &[Plan],
+    dp: &[Option<FTable>],
+    width: usize,
+) -> Vec<FrontierPoint> {
+    let n = plans.len();
     let mut acc = vec![Partial {
         time: 0.0,
         mem: 0,
@@ -1784,15 +1541,13 @@ pub(crate) fn run_frontier_with_structure(
             }
         }
         prune_pareto(&mut next, |p| (p.time, p.mem));
-        thin_frontier(&mut next, opts.frontier_width);
+        thin_frontier(&mut next, width);
         acc = next;
     }
 
-    // Back-substitute every global Pareto point into a full strategy.
     let children_all: Vec<Vec<ChildCoef>> =
-        (0..n).map(|i| child_coefs(&plans, &structure, i)).collect();
-    let points: Vec<FrontierPoint> = acc
-        .into_iter()
+        (0..n).map(|i| child_coefs(plans, structure, i)).collect();
+    acc.into_iter()
         .map(|global| {
             let mut ids = vec![u16::MAX; n];
             let mut stack: Vec<(usize, u64, u32)> = structure
@@ -1830,82 +1585,14 @@ pub(crate) fn run_frontier_with_structure(
                 config_ids: ids,
             }
         })
-        .collect();
-    drop(backtrack_span);
-    recycle_dp(dp);
-
-    stats.frontier_len = points.len();
-    stats.elapsed = start.elapsed();
-    FrontierFill::Done(StrategyFrontier::new(points), stats)
-}
-
-/// The prune-then-frontier pipeline: dominance-prunes the tables with the
-/// **memory-aware** condition forced on (a time-only dominator with more
-/// memory could delete a Pareto point; the memory-aware keep set is a
-/// superset of the time-only one, so min-time parity is unaffected), runs
-/// the frontier fill on the compacted tables, and maps every point's
-/// configuration ids back to the original id space.
-pub(crate) fn run_frontier_pruned_with_structure(
-    graph: &Graph,
-    tables: &CostTables,
-    opts: &DpOptions,
-    prune: &PruneOptions,
-    trace: Option<&Trace>,
-    prebuilt: Option<VertexStructure>,
-) -> FrontierFill {
-    let mut popts = *prune;
-    popts.memory_aware = true;
-    let pruned = PrunedTables::build_traced(graph, tables, &popts, trace);
-    let ps = *pruned.stats();
-    if ps.elapsed >= opts.budget.max_time {
-        let stats = SearchStats {
-            max_configs: pruned.tables().max_k(),
-            k_before: ps.k_before,
-            prune_time: ps.elapsed,
-            elapsed: ps.elapsed,
-            dp_kernel: frontier_kernel_name(opts.kernel),
-            ..SearchStats::default()
-        };
-        return FrontierFill::Abort(SearchOutcome::Timeout { stats });
-    }
-    let mut remaining = *opts;
-    remaining.budget.max_time = opts.budget.max_time - ps.elapsed;
-    match run_frontier_with_structure(graph, pruned.tables(), &remaining, trace, prebuilt) {
-        FrontierFill::Done(frontier, mut stats) => {
-            let points = frontier
-                .points
-                .into_iter()
-                .map(|mut p| {
-                    p.config_ids = pruned.to_original_ids(&p.config_ids);
-                    p
-                })
-                .collect();
-            stats.k_before = ps.k_before;
-            stats.prune_time = ps.elapsed;
-            stats.elapsed += ps.elapsed;
-            FrontierFill::Done(StrategyFrontier { points }, stats)
-        }
-        FrontierFill::Abort(mut outcome) => {
-            match &mut outcome {
-                SearchOutcome::Oom { stats, .. }
-                | SearchOutcome::Timeout { stats }
-                | SearchOutcome::Infeasible { stats, .. } => {
-                    stats.k_before = ps.k_before;
-                    stats.prune_time = ps.elapsed;
-                    stats.elapsed += ps.elapsed;
-                }
-                SearchOutcome::Found(_) => unreachable!("fill abort is never Found"),
-            }
-            FrontierFill::Abort(outcome)
-        }
-    }
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::search::Search;
-    use pase_cost::MachineSpec;
+    use pase_cost::{MachineSpec, PruneOptions};
     use pase_graph::{DimRole, GraphBuilder, IterDim, Node, OpKind, TensorRef};
 
     fn fc(name: &str, ins: usize) -> Node {
@@ -2019,6 +1706,19 @@ mod tests {
         for (a, b) in pf.points().iter().zip(qf.points()) {
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
             assert_eq!(a.memory_bytes, b.memory_bytes);
+            // Every point's ids were mapped back to the *original* id space:
+            // on the unpruned tables they reproduce the point's memory
+            // exactly and its cost up to summation-order rounding.
+            let eval = plain.tables().evaluate_ids(&g, &b.config_ids);
+            assert!(
+                (eval - b.cost).abs() <= 1e-9 * b.cost.abs(),
+                "back-mapped point evaluates to {eval}, frontier says {}",
+                b.cost
+            );
+            assert_eq!(
+                plain.tables().strategy_memory_bytes(&b.config_ids),
+                b.memory_bytes
+            );
         }
         assert!(pruned.result().expect("found").stats.k_before >= pruned.tables().max_k());
     }
@@ -2120,97 +1820,6 @@ mod tests {
         assert!(StrategyFrontier::default()
             .cheapest_within(u64::MAX)
             .is_none());
-    }
-
-    #[test]
-    fn batched_merge_replays_the_incremental_merge() {
-        // Four runs over a shared point arena, including an empty run, a
-        // non-contributing run, and exact (time, mem) ties; each run is a
-        // valid frontier (ascending time, strictly decreasing memory).
-        let p = |time: f64, mem: u64| Pt {
-            time,
-            mem,
-            choice: 0,
-        };
-        let pts = vec![
-            // run 0 (base 0, 0)
-            p(1.0, 100),
-            p(2.0, 50),
-            p(5.0, 7),
-            // run 1 (base 0.5, 20): lands interleaved with run 0
-            p(1.0, 90),
-            p(3.0, 5),
-            // run 2 (base 0, 0): exact tie with run 0's head, then dominated
-            p(1.0, 100),
-            p(2.5, 80),
-            // run 3 (base 0, 0): fully dominated, contributes nothing
-            p(1.5, 120),
-            p(6.0, 60),
-        ];
-        let runs = [
-            (0.0, 0u64, 0u32, 3u32),
-            (0.5, 20, 3, 5),
-            (0.0, 0, 5, 7),
-            (0.0, 0, 7, 7), // empty
-            (0.0, 0, 7, 9),
-        ];
-        for width in [0usize, 2, 3, 8] {
-            let merge_runs: Vec<MergeRun> = runs
-                .iter()
-                .map(|&(bt, bm, head, end)| MergeRun { bt, bm, head, end })
-                .collect();
-            let (mut m, mut m2) = (Vec::new(), Vec::new());
-            merge_pruned_runs(&merge_runs, &pts, width, &mut m, &mut m2);
-            let (mut bm, mut bm2) = (Vec::new(), Vec::new());
-            for (r, &(bt, base_m, head, end)) in runs.iter().enumerate() {
-                let run: Vec<Cand> = (head..end)
-                    .map(|h| {
-                        let pt = &pts[h as usize];
-                        (bt + pt.time, base_m + pt.mem, r as u32, h)
-                    })
-                    .collect();
-                merge_run_batched(&mut bm, &mut bm2, &run, width);
-            }
-            assert_eq!(m, bm, "width = {width}");
-        }
-    }
-
-    #[test]
-    fn scalar_and_tiled_frontier_kernels_agree_bitwise() {
-        let g = diamond();
-        for width in [0usize, 2, 8] {
-            for parallel in [false, true] {
-                let scalar = Search::new(&g)
-                    .devices(8)
-                    .parallel(parallel)
-                    .dp_kernel(DpKernel::Scalar)
-                    .frontier()
-                    .frontier_width(width)
-                    .run();
-                let tiled = Search::new(&g)
-                    .devices(8)
-                    .parallel(parallel)
-                    .dp_kernel(DpKernel::Tiled)
-                    .frontier()
-                    .frontier_width(width)
-                    .run();
-                assert_eq!(scalar.result().expect("scalar").stats.dp_kernel, "frontier");
-                assert_eq!(
-                    tiled.result().expect("tiled").stats.dp_kernel,
-                    "frontier-tiled"
-                );
-                let (sf, tf) = (
-                    scalar.frontier().expect("scalar"),
-                    tiled.frontier().expect("tiled"),
-                );
-                assert_eq!(sf.len(), tf.len(), "width = {width}");
-                for (a, b) in sf.points().iter().zip(tf.points()) {
-                    assert_eq!(a.cost.to_bits(), b.cost.to_bits());
-                    assert_eq!(a.memory_bytes, b.memory_bytes);
-                    assert_eq!(a.config_ids, b.config_ids);
-                }
-            }
-        }
     }
 
     #[test]

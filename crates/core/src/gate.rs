@@ -61,18 +61,19 @@ impl PruneGate {
 }
 
 /// Above this predicted DP state count, prune unconditionally: at the
-/// measured *scalar*-kernel DP throughput (~1.5 × 10⁸ states/s in
-/// `BENCH_search.json`) 10⁸ states is ≈ 0.7 s of unpruned fill, where even
-/// a few-percent `K` reduction repays the prune's fixed cost many times
-/// over regardless of the work ratio. Calibrated between InceptionV3
-/// p = 32 (5.7 × 10⁷ states, measured −1.8 ms marginal loss when pruned)
-/// and InceptionV3 p = 64 (1.8 × 10⁸ states, measured +64 ms win).
+/// measured throughput of the scalar loop (~1.5 × 10⁸ states/s in
+/// `BENCH_search.json`; today the [`crate::reference`] oracle) 10⁸ states
+/// is ≈ 0.7 s of unpruned fill, where even a few-percent `K` reduction
+/// repays the prune's fixed cost many times over regardless of the work
+/// ratio. Calibrated between InceptionV3 p = 32 (5.7 × 10⁷ states,
+/// measured −1.8 ms marginal loss when pruned) and InceptionV3 p = 64
+/// (1.8 × 10⁸ states, measured +64 ms win).
 ///
-/// The tiled kernel ([`crate::DpKernel::Tiled`]) raises fill throughput
-/// several-fold, which *shrinks* the absolute DP time this threshold
-/// stands for — but it speeds up the pruned and unpruned fill alike, so
-/// the crossover is governed by the prune pass's fixed cost vs. the DP
-/// *reduction*, and the measured decisions in
+/// The tiled kernel ([`crate::kernel`]), the only production fill, raises
+/// fill throughput several-fold, which *shrinks* the absolute DP time this
+/// threshold stands for — but it speeds up the pruned and unpruned fill
+/// alike, so the crossover is governed by the prune pass's fixed cost vs.
+/// the DP *reduction*, and the measured decisions in
 /// `gate_decisions_match_measured_crossover_on_paper_benchmarks` still
 /// hold against the tiled-kernel columns of `BENCH_search.json`. Keeping
 /// the scalar-calibrated threshold is therefore conservative (it only errs

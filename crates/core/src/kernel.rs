@@ -4,13 +4,13 @@
 //! per table entry it minimizes, over the `kv` configurations of the
 //! current vertex, a sum of a layer-cost term, one edge-cost term per
 //! later neighbor, and one child-table term per connected subset. The
-//! scalar loop in `dp.rs` re-resolves every operand per `(entry, config)`
-//! pair — class indirections, strided edge-matrix gathers, strided
+//! scalar reference loop ([`crate::reference`]) re-resolves every operand
+//! per `(entry, config)` pair — class indirections, strided edge-matrix gathers, strided
 //! child-table gathers, a branchy running argmin. This module restructures
 //! the fill the way a GEMM library structures a block:
 //!
 //! 1. **Pack** — operands that do not change across the *entire vertex
-//!    table* are hoisted once per vertex ([`pack_vertex`]), shared
+//!    table* are hoisted once per vertex (`pack_vertex`), shared
 //!    read-only by every fill chunk of that table: the layer-cost row is
 //!    borrowed directly (it is already a contiguous `base[c]` vector);
 //!    every edge matrix that the inner loop would read *column-wise* (when
@@ -51,9 +51,10 @@
 //!
 //! ## Bit-identical contract
 //!
-//! `DpKernel::Tiled` must produce the same `costs` and `choice` arrays as
-//! `DpKernel::Scalar` **bit for bit** (asserted by `tests/kernel_parity.rs`
-//! and the bench gate). Two properties make that hold:
+//! The tiled fill must produce the same `costs` and `choice` arrays as the
+//! scalar reference loop **bit for bit** (asserted against
+//! [`crate::reference::scalar_search`] by `tests/kernel_parity.rs` and the
+//! bench gate). Two properties make that hold:
 //!
 //! * every accumulator entry performs the same f64 additions in the same
 //!   order as the scalar loop (layer cost, then `later_edges` in order,
@@ -69,42 +70,6 @@ use crate::dp::{ChildCoef, FillChunk, Plan, Table};
 use crate::pool::Scratch;
 use pase_cost::CostTables;
 use pase_graph::GraphError;
-
-/// Which inner-loop implementation the DP table fill uses. Both produce
-/// bit-identical tables; the option exists so A/B measurement is one flag.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DpKernel {
-    /// The straightforward per-entry loop: one pass over the `kv`
-    /// configurations per entry, resolving every cost operand through the
-    /// table accessors and tracking the argmin inline.
-    Scalar,
-    /// The packed, run-blocked min-plus microkernel (the default):
-    /// vertex-invariant operands are packed once per table, entries are
-    /// processed in innermost-digit runs of pure slice arithmetic with the
-    /// run-invariant prefix sum hoisted, and the argmin is recovered
-    /// outside the hot loop.
-    #[default]
-    Tiled,
-}
-
-impl DpKernel {
-    /// Parse a CLI/wire value (`"scalar"`, `"tiled"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(DpKernel::Scalar),
-            "tiled" => Some(DpKernel::Tiled),
-            _ => None,
-        }
-    }
-
-    /// The CLI/wire spelling of this kernel.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DpKernel::Scalar => "scalar",
-            DpKernel::Tiled => "tiled",
-        }
-    }
-}
 
 /// f64 lanes the min reduction is blocked by. Eight doubles span a full
 /// AVX-512 register or two AVX2 registers; the compiler maps the fixed
@@ -592,8 +557,8 @@ pub(crate) fn pack_vertex(
 ///   one `(cost, choice)` over the whole run;
 /// * odometer carries happen once per run instead of once per entry.
 ///
-/// Bit-identical to the scalar `fill_chunk` in `dp.rs`; raises the same
-/// odometer-overflow error on a malformed plan.
+/// Bit-identical to the scalar reference loop in [`crate::reference`];
+/// raises the same odometer-overflow error on a malformed plan.
 pub(crate) fn fill_chunk_tiled(
     tables: &CostTables,
     plan: &Plan,
@@ -836,8 +801,8 @@ enum Op<'a> {
 }
 
 /// The error a malformed plan raises when the entry odometer would wrap
-/// past the table end (shared by both kernels — previously a
-/// `debug_assert!` that silently wrapped in release builds).
+/// past the table end (shared with the scalar reference loop — previously
+/// a `debug_assert!` that silently wrapped in release builds).
 pub(crate) fn odometer_overflow(plan: &Plan, start: u64) -> GraphError {
     GraphError::InvalidNode(format!(
         "DP fill for vertex {:?} overflowed its entry odometer (table size {}, chunk start {}): \
@@ -849,15 +814,6 @@ pub(crate) fn odometer_overflow(plan: &Plan, start: u64) -> GraphError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_round_trips() {
-        for k in [DpKernel::Scalar, DpKernel::Tiled] {
-            assert_eq!(DpKernel::parse(k.as_str()), Some(k));
-        }
-        assert_eq!(DpKernel::parse("simd"), None);
-        assert_eq!(DpKernel::default(), DpKernel::Tiled);
-    }
 
     #[test]
     fn row_min_matches_sequential_scan() {

@@ -19,10 +19,10 @@
 //!   `find_best_strategy*` free-function grid has been removed), and costs
 //!   against a [`pase_cost::DeviceMesh`] (flat single-axis meshes
 //!   reproduce the scalar machine model bit-identically);
-//! * [`DpKernel`] — the DP's inner-loop implementations: today's scalar
-//!   per-entry loop, and the packed/tiled min-plus microkernel
-//!   ([`kernel`]) that treats the combine step as a GEMM-shaped min-plus
-//!   matrix product (bit-identical results, one flag to A/B);
+//! * [`kernel`] — the packed/tiled min-plus microkernel that fills the DP
+//!   tables, treating the combine step as a GEMM-shaped min-plus matrix
+//!   product; [`mod@reference`] keeps the scalar and incremental loops it
+//!   replaced as test oracles (bit-identical results);
 //! * [`Error`] — the single error type of the search stack (budget
 //!   exhaustion, cost-model failures, cache I/O, protocol violations,
 //!   schema-version mismatches);
@@ -41,17 +41,17 @@ pub mod kernel;
 mod ordering;
 mod pool;
 mod reduction;
+pub mod reference;
 mod report;
 mod search;
 mod structure;
 
 pub use brute::{brute_force, brute_force_pruned, random_strategy_costs};
 pub use budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
-pub use dp::{naive_best_strategy, DpOptions};
+pub use dp::naive_best_strategy;
 pub use error::Error;
-pub use frontier::{FrontierPoint, StrategyFrontier};
+pub use frontier::{cheapest_within, FrontierPoint, StrategyFrontier};
 pub use gate::PruneGate;
-pub use kernel::DpKernel;
 pub use ordering::{
     dependent_set_sizes, generate_seq, generate_seq_with_sets, make_ordering, search_profile,
     OrderingKind, PositionProfile,

@@ -24,9 +24,9 @@ use std::cell::RefCell;
 /// the widest dependent set / child list a chunk needs. The last two
 /// fields are the tiled kernel's working set (see `crate::kernel`): one
 /// `kv`-wide accumulator row and one `kv`-wide hoisted-prefix row. The
-/// scalar kernel leaves them empty. (The packed operand *panels* are not
-/// per-chunk scratch — they are packed once per vertex and shared by all
-/// of its chunks; see [`take_panel`].)
+/// scalar reference loop (`crate::reference`) leaves them empty. (The
+/// packed operand *panels* are not per-chunk scratch — they are packed
+/// once per vertex and shared by all of its chunks; see [`take_panel`].)
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) digits: Vec<u16>,

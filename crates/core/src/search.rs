@@ -21,21 +21,18 @@
 //! mesh.
 
 use crate::budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats};
-use crate::dp::{run_pruned_with_structure, run_with_structure, DpOptions};
+use crate::dp::{self, build_structure, run_with_structure, DpOptions};
 use crate::error::Error;
-use crate::frontier::{
-    run_frontier_pruned_with_structure, run_frontier_with_structure, FrontierFill, StrategyFrontier,
-};
+use crate::frontier::{self, run_frontier_with_structure, StrategyFrontier};
 use crate::gate::{self, PruneGate};
-use crate::kernel::DpKernel;
-use crate::ordering::{make_ordering, OrderingKind};
+use crate::ordering::OrderingKind;
 use crate::structure::{ConnectedSetMode, VertexStructure};
 use pase_cost::{
     estimate_prune_work, ConfigRule, ConfigSpace, CostTables, DeviceMesh, MachineSpec,
-    NonFiniteCost, PruneOptions, TableOptions,
+    NonFiniteCost, PruneOptions, PrunedTables, TableOptions,
 };
 use pase_graph::{Graph, GraphError};
-use pase_obs::{phase, span_in, OptSpan, Trace};
+use pase_obs::Trace;
 use std::fmt;
 
 /// A configured-but-not-yet-run strategy search. See the module docs.
@@ -188,21 +185,6 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Which inner-loop implementation fills the DP tables (default
-    /// [`DpKernel::Tiled`]; both kernels are bit-identical — see
-    /// [`DpKernel`]).
-    pub fn dp_kernel(mut self, kernel: DpKernel) -> Self {
-        self.dp.kernel = kernel;
-        self
-    }
-
-    /// All DP knobs at once (ordering, mode, budget, parallelism, kernel) —
-    /// the bridge for callers still holding a [`DpOptions`].
-    pub fn dp_options(mut self, opts: DpOptions) -> Self {
-        self.dp = opts;
-        self
-    }
-
     /// Cost-table construction options (interning, parallel build).
     pub fn table_options(mut self, opts: TableOptions) -> Self {
         self.table_opts = opts;
@@ -248,19 +230,22 @@ impl<'a> Search<'a> {
     /// of just the single optimum. The returned [`SearchResult`] is still
     /// the selected point (min-time, or the cheapest fitting one under
     /// [`Search::max_memory_bytes`]); the whole frontier is available via
-    /// [`SearchRun::frontier`]. The frontier engine honours
-    /// [`Search::dp_kernel`]: [`DpKernel::Tiled`] (the default) runs the
-    /// run-blocked frontier microkernel (`stats.dp_kernel ==
-    /// "frontier-tiled"`), [`DpKernel::Scalar`] the incremental per-entry
-    /// fill (`"frontier"`); both produce bit-identical frontiers.
+    /// [`SearchRun::frontier`]. The tables are filled by the run-blocked
+    /// frontier microkernel (`stats.dp_kernel == "frontier-tiled"`).
     pub fn frontier(mut self) -> Self {
         self.want_frontier = true;
         self
     }
 
-    /// Cap the per-state (and returned) frontier at `width` points; `0`
-    /// disables the cap (exact, potentially exponential). See
-    /// [`DpOptions::frontier_width`]. Only affects frontier searches.
+    /// Cap the per-state (and returned) frontier at `width` points (default
+    /// 8); `0` disables the cap (exact, and potentially exponential). Only
+    /// affects frontier searches.
+    ///
+    /// Per-state Pareto sets can grow combinatorially on deep graphs, so
+    /// each state's frontier is deterministically thinned to this width
+    /// after exact dominance pruning. Both endpoints always survive: the
+    /// min-time point, preserving scalar bit-parity, and the min-memory
+    /// point, preserving the feasibility floor.
     pub fn frontier_width(mut self, width: usize) -> Self {
         self.dp.frontier_width = width;
         self
@@ -314,14 +299,8 @@ impl<'a> Search<'a> {
             PruneGate::Off => None,
             PruneGate::Auto if self.graph.is_empty() => self.prune,
             PruneGate::Auto => {
-                let structure = {
-                    let mut span = span_in(self.trace, phase::STRUCTURE);
-                    let order = make_ordering(self.graph, self.dp.ordering);
-                    let s = VertexStructure::build(self.graph, &order, self.dp.mode);
-                    span.arg("nodes", self.graph.len());
-                    span.arg("wavefronts", s.wavefronts().len());
-                    s
-                };
+                let structure =
+                    build_structure(self.graph, self.dp.ordering, self.dp.mode, self.trace);
                 let dp_est = gate::estimate_dp_work(&structure, tables.get());
                 let prune_est = estimate_prune_work(self.graph, tables.get());
                 let keep = gate::prune_pays_off(dp_est, prune_est);
@@ -334,83 +313,145 @@ impl<'a> Search<'a> {
                 }
             }
         };
-        if self.want_frontier || self.max_memory_bytes.is_some() {
-            let fill = match &popts {
-                Some(popts) => run_frontier_pruned_with_structure(
-                    self.graph,
-                    tables.get(),
-                    &self.dp,
-                    popts,
-                    self.trace,
-                    prebuilt,
-                ),
-                None => run_frontier_with_structure(
-                    self.graph,
-                    tables.get(),
-                    &self.dp,
-                    self.trace,
-                    prebuilt,
-                ),
-            };
-            let (mut outcome, frontier) = match fill {
-                FrontierFill::Done(frontier, stats) => {
-                    // Unconstrained: the min-time point (bit-identical to
-                    // the scalar optimum). Constrained: the cheapest point
-                    // that fits, or Infeasible when none does.
-                    let picked = match self.max_memory_bytes {
-                        Some(b) => frontier.cheapest_within(b),
-                        None => Some(frontier.min_time()),
-                    };
-                    let outcome = match picked {
-                        Some(p) => SearchOutcome::Found(SearchResult {
-                            cost: p.cost,
-                            config_ids: p.config_ids.clone(),
-                            stats: SearchStats {
-                                peak_strategy_bytes: p.memory_bytes,
-                                ..stats
-                            },
-                        }),
-                        None => SearchOutcome::Infeasible {
-                            min_memory_bytes: frontier.min_memory_bytes(),
-                            stats,
-                        },
-                    };
-                    (outcome, Some(frontier))
+        let Filled {
+            mut outcome,
+            frontier,
+        } = match self.fill(tables.get(), popts, prebuilt) {
+            Ok(filled) => filled,
+            Err(e) => {
+                return SearchRun {
+                    outcome: Err(BuildFailure::Graph(e)),
+                    tables,
+                    frontier: None,
                 }
-                FrontierFill::Abort(o) => (o, None),
-            };
-            apply_gate_stats(&mut outcome, gate_stats);
-            stats_of(&mut outcome).mesh_axes = tables.get().mesh().axes.len();
-            return SearchRun {
-                outcome: Ok(outcome),
-                tables,
-                frontier,
-            };
-        }
-        let mut outcome = match &popts {
-            Some(popts) => run_pruned_with_structure(
-                self.graph,
-                tables.get(),
-                &self.dp,
-                popts,
-                self.trace,
-                prebuilt,
-            ),
-            None => run_with_structure(self.graph, tables.get(), &self.dp, self.trace, prebuilt),
-        };
-        if let Ok(outcome) = &mut outcome {
-            apply_gate_stats(outcome, gate_stats);
-            stats_of(outcome).mesh_axes = tables.get().mesh().axes.len();
-            if let SearchOutcome::Found(r) = outcome {
-                r.stats.peak_strategy_bytes = tables.get().strategy_memory_bytes(&r.config_ids);
             }
+        };
+        if let Some(frontier) = &frontier {
+            // Unconstrained: the min-time point (bit-identical to the
+            // scalar optimum). Constrained: the cheapest point that fits,
+            // or Infeasible when none does.
+            let stats = stats_of(&mut outcome).clone();
+            let picked = match self.max_memory_bytes {
+                Some(b) => frontier.cheapest_within(b),
+                None => Some(frontier.min_time()),
+            };
+            outcome = match picked {
+                Some(p) => SearchOutcome::Found(SearchResult {
+                    cost: p.cost,
+                    config_ids: p.config_ids.clone(),
+                    stats: SearchStats {
+                        peak_strategy_bytes: p.memory_bytes,
+                        ..stats
+                    },
+                }),
+                None => SearchOutcome::Infeasible {
+                    min_memory_bytes: frontier.min_memory_bytes(),
+                    stats,
+                },
+            };
+        } else if let SearchOutcome::Found(r) = &mut outcome {
+            r.stats.peak_strategy_bytes = tables.get().strategy_memory_bytes(&r.config_ids);
         }
+        apply_gate_stats(&mut outcome, gate_stats);
+        stats_of(&mut outcome).mesh_axes = tables.get().mesh().axes.len();
         SearchRun {
-            outcome: outcome.map_err(BuildFailure::Graph),
+            outcome: Ok(outcome),
             tables,
-            frontier: None,
+            frontier,
         }
     }
+
+    /// Run the engine this search asks for — scalar or frontier — on
+    /// `tables`, behind the dominance prune when `popts` is set.
+    ///
+    /// The prune (a [`pase_obs::phase::PRUNE`] span) compacts the tables
+    /// first — every dependent-set table is `∏ |C(w)|` entries wide, so the
+    /// pruned `K` shrinks table sizes, fill work, and the budget accounting
+    /// multiplicatively. Frontier searches force the memory-aware
+    /// dominance condition: a time-only dominator with more memory could
+    /// delete a Pareto point, and the memory-aware keep set is a superset
+    /// of the time-only one, so min-time parity is unaffected. The engine
+    /// then runs on the remaining wall clock, and the result's ids (or
+    /// every frontier point's ids) are mapped back into the id space of
+    /// `tables`. With `epsilon == 0.0` the prune is exact and the answer is
+    /// bit-identical to the unpruned engine's; with a positive ε it is only
+    /// guaranteed within `(1 + ε)` of the true optimum.
+    ///
+    /// `stats.k_before` reports the pre-pruning `K` (while
+    /// `stats.max_configs` is the pruned `K` the engine saw) and
+    /// `stats.prune_time` the prune's cost, which is *included* in the
+    /// budget's wall clock and in `stats.elapsed`. If the prune alone
+    /// exhausts the time budget the outcome is [`SearchOutcome::Timeout`] —
+    /// the engine is never entered with a zero budget, where its OOM check
+    /// could fire first and mislabel the failure. A prebuilt structure is
+    /// table-independent, so the one the adaptive gate built drives the
+    /// pruned engine unchanged.
+    fn fill(
+        &self,
+        tables: &CostTables,
+        popts: Option<PruneOptions>,
+        prebuilt: Option<VertexStructure>,
+    ) -> Result<Filled, GraphError> {
+        let frontier_mode = self.want_frontier || self.max_memory_bytes.is_some();
+        let engine = |tables: &CostTables, opts: &DpOptions, prebuilt| {
+            if frontier_mode {
+                Ok(run_frontier_with_structure(
+                    self.graph, tables, opts, self.trace, prebuilt,
+                ))
+            } else {
+                run_with_structure(self.graph, tables, opts, self.trace, prebuilt).map(|outcome| {
+                    Filled {
+                        outcome,
+                        frontier: None,
+                    }
+                })
+            }
+        };
+        let Some(mut popts) = popts else {
+            return engine(tables, &self.dp, prebuilt);
+        };
+        popts.memory_aware |= frontier_mode;
+        let pruned = PrunedTables::build_traced(self.graph, tables, &popts, self.trace);
+        let ps = *pruned.stats();
+        let mut filled = if ps.elapsed >= self.dp.budget.max_time {
+            let stats = SearchStats {
+                max_configs: pruned.tables().max_k(),
+                dp_kernel: if frontier_mode {
+                    frontier::ENGINE
+                } else {
+                    dp::ENGINE
+                },
+                ..SearchStats::default()
+            };
+            Filled {
+                outcome: SearchOutcome::Timeout { stats },
+                frontier: None,
+            }
+        } else {
+            let mut remaining = self.dp;
+            remaining.budget.max_time -= ps.elapsed;
+            engine(pruned.tables(), &remaining, prebuilt)?
+        };
+        if let SearchOutcome::Found(r) = &mut filled.outcome {
+            r.config_ids = pruned.to_original_ids(&r.config_ids);
+        }
+        for p in filled.frontier.iter_mut().flat_map(|f| f.points_mut()) {
+            p.config_ids = pruned.to_original_ids(&p.config_ids);
+        }
+        let stats = stats_of(&mut filled.outcome);
+        stats.k_before = ps.k_before;
+        stats.prune_time = ps.elapsed;
+        stats.elapsed += ps.elapsed;
+        Ok(filled)
+    }
+}
+
+/// What one engine run produced: the outcome, plus the full frontier when
+/// a frontier fill completed. For a completed frontier fill the outcome is
+/// its min-time point; [`Search::run`] then selects the answer.
+pub(crate) struct Filled {
+    pub(crate) outcome: SearchOutcome,
+    pub(crate) frontier: Option<StrategyFrontier>,
 }
 
 /// The stats of whichever variant the outcome carries.
@@ -732,6 +773,41 @@ mod tests {
             other => panic!("expected Err(Oom), got {other:?}"),
         }
         assert!(run.frontier().is_none());
+    }
+
+    /// A zero time budget behind the exact prune: the prune alone uses up
+    /// the clock, so the search reports Timeout before the engine runs,
+    /// with the prune's time and the pre-prune K accounted.
+    fn assert_prune_alone_times_out(search: Search<'_>, engine: &str) {
+        let outcome = search
+            .budget(SearchBudget::with_max_time(std::time::Duration::ZERO))
+            .pruning(PruneOptions::default())
+            .run()
+            .into_outcome();
+        match outcome {
+            SearchOutcome::Timeout { stats } => {
+                assert!(stats.prune_time > std::time::Duration::ZERO);
+                assert_eq!(stats.elapsed, stats.prune_time);
+                assert!(stats.k_before > 0);
+                // The engine never ran: no states were evaluated.
+                assert_eq!(stats.states_evaluated, 0);
+                assert_eq!(stats.dp_kernel, engine);
+            }
+            other => panic!("expected timeout, got {}", other.tag()),
+        }
+    }
+
+    #[test]
+    fn prune_exhausting_the_budget_times_out_before_the_scalar_dp() {
+        let g = chain2();
+        assert_prune_alone_times_out(Search::new(&g).devices(8), "tiled");
+    }
+
+    #[test]
+    fn prune_exhausting_the_budget_times_out_before_the_frontier_dp() {
+        let g = chain2();
+        let run = Search::new(&g).devices(8).frontier();
+        assert_prune_alone_times_out(run, "frontier-tiled");
     }
 
     #[test]

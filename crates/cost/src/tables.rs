@@ -264,7 +264,7 @@ impl CostTables {
         })
     }
 
-    /// [`CostTables::build_mesh`] over a pre-enumerated [`ConfigSpace`].
+    /// [`CostTables::build_mesh`] over a pre-enumerated [`crate::ConfigSpace`].
     ///
     /// The space must cover the same graph and have been built under the
     /// same `rule` — sweeps that reuse one enumeration across several

@@ -36,8 +36,8 @@ pub const SEQUENTIAL_FILL: &str = "sequential_fill";
 
 /// The tiled min-plus microkernel's time inside a fill span — a *nested*
 /// sub-span of the enclosing `"wavefront <w>"` (or
-/// [`SEQUENTIAL_FILL`]) span, recorded only when the DP runs with
-/// `DpKernel::Tiled`. Consumers summing disjoint pipeline phases must
+/// [`SEQUENTIAL_FILL`]) span, recorded by every DP fill (scalar and
+/// frontier). Consumers summing disjoint pipeline phases must
 /// exclude it (its time is already counted by the parent span).
 pub const KERNEL: &str = "kernel";
 

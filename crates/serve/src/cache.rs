@@ -271,7 +271,9 @@ impl CacheEntry {
 
     /// Parse an on-disk JSON document, rejecting unknown schema versions
     /// ([`Error::SchemaVersion`]) and malformed documents
-    /// ([`Error::Protocol`]).
+    /// ([`Error::Protocol`]) — including a frontier that is not sorted
+    /// cost-ascending with strictly descending memory, which budget
+    /// selection ([`pase_core::cheapest_within`]) relies on.
     pub fn from_json(src: &str) -> Result<(u64, Self), Error> {
         let v = json::parse(src).map_err(Error::Protocol)?;
         let version = v
@@ -326,6 +328,14 @@ impl CacheEntry {
                 })
             })
             .collect::<Result<Vec<FrontierPoint>, Error>>()?;
+        if !frontier
+            .windows(2)
+            .all(|w| w[0].cost <= w[1].cost && w[0].memory_bytes > w[1].memory_bytes)
+        {
+            return Err(Error::Protocol(
+                "frontier must be cost-ascending with strictly descending memory".into(),
+            ));
+        }
         Ok((
             key,
             CacheEntry {
@@ -832,6 +842,52 @@ mod tests {
         assert_eq!(back, e);
         // A frontier entry weighs more than its scalar twin.
         assert!(e.approx_bytes() > entry("frontier").approx_bytes());
+    }
+
+    #[test]
+    fn an_unsorted_on_disk_frontier_is_rejected_as_a_miss() {
+        let dir = std::env::temp_dir().join(format!("pase-cache-tamper-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = 0xfeed_u64;
+        let point = |cost: f64, memory_bytes: u64| FrontierPoint {
+            cost,
+            memory_bytes,
+            config_ids: vec![1, 2, 3],
+        };
+        let mut e = entry("tampered");
+        e.frontier = vec![point(1.0, 100), point(2.0, 10)];
+        StrategyCache::new(4)
+            .with_disk_dir(&dir)
+            .put(key, e.clone())
+            .unwrap();
+        let mut cold = StrategyCache::new(4).with_disk_dir(&dir);
+        assert_eq!(cold.get(key), Some(e.clone()), "the intact entry loads");
+
+        // Each tampering breaks the order budget selection relies on:
+        // memory not descending, a memory tie, and cost not ascending.
+        for frontier in [
+            vec![point(1.0, 10), point(2.0, 100)],
+            vec![point(1.0, 10), point(2.0, 10)],
+            vec![point(2.0, 100), point(1.0, 10)],
+        ] {
+            let tampered = CacheEntry {
+                frontier,
+                ..e.clone()
+            };
+            match CacheEntry::from_json(&tampered.to_json(key)) {
+                Err(Error::Protocol(msg)) => assert!(msg.contains("frontier"), "{msg}"),
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+            write_entry_file(
+                &dir.join(format!("{key:016x}.json")),
+                &tampered.to_json(key),
+            )
+            .unwrap();
+            let mut cold = StrategyCache::new(4).with_disk_dir(&dir);
+            assert!(cold.get(key).is_none(), "a tampered entry must be a miss");
+            assert_eq!(cold.misses(), 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn sized_entry(tag: &str, report_bytes: usize) -> CacheEntry {

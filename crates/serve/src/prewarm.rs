@@ -81,7 +81,6 @@ pub fn parse_prewarm_spec(spec: &str) -> Result<Vec<Request>, String> {
                     deadline: None,
                     max_memory_bytes: None,
                     frontier: false,
-                    dp_kernel: None,
                 });
             }
         }

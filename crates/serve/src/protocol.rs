@@ -20,11 +20,10 @@
 //! [`SearchBudget`], and the server's configured per-request deadline.
 //! `"prune_gate"` may be `"on"`, `"off"`, or `"auto"` (the adaptive gate;
 //! never changes the returned optimum, only whether the dominance prune
-//! runs). `"dp_kernel"` may be `"scalar"` or `"tiled"` (default) and
-//! selects the DP fill kernel for fresh searches — an execution knob like
-//! parallelism that never changes the returned optimum, so it does not
-//! partition the cache; `stats.dp_kernel` in the embedded report records
-//! which kernel actually ran.
+//! runs). Unknown fields are ignored — among them `"dp_kernel"`, which
+//! older servers accepted to pick the DP fill loop and which never changed
+//! an answer; `stats.dp_kernel` in the embedded report still names the
+//! engine that ran.
 //!
 //! `"machine"` also accepts an **inline object** (schema_version 4+)
 //! instead of a profile name — either a scalar machine
@@ -106,7 +105,7 @@
 //! approximate resident footprint (the byte-weighted LRU's accounting
 //! unit).
 
-use pase_core::{DpKernel, Error, FrontierPoint, PruneGate, SearchBudget, SCHEMA_VERSION};
+use pase_core::{Error, FrontierPoint, PruneGate, SearchBudget, SCHEMA_VERSION};
 use pase_cost::{DeviceMesh, MachineSpec};
 use pase_obs::json;
 use std::fmt::Write as _;
@@ -200,13 +199,6 @@ pub struct Request {
     pub max_memory_bytes: Option<u64>,
     /// Return the whole `(step time, peak memory)` Pareto frontier.
     pub frontier: bool,
-    /// DP fill kernel override (`"scalar"` / `"tiled"`; `None` = the
-    /// engine default, the tiled microkernel). An execution knob like
-    /// parallelism — both kernels return a bit-identical optimum — so it
-    /// is *not* part of the cache key; the response report's
-    /// `stats.dp_kernel` records which kernel actually filled the cached
-    /// entry.
-    pub dp_kernel: Option<DpKernel>,
 }
 
 impl Request {
@@ -288,12 +280,6 @@ impl Request {
             })?,
             None => PruneGate::On,
         };
-        let dp_kernel = match v.get("dp_kernel") {
-            Some(k) => Some(k.as_str().and_then(DpKernel::parse).ok_or_else(|| {
-                Error::Protocol("\"dp_kernel\" must be \"scalar\" or \"tiled\"".into())
-            })?),
-            None => None,
-        };
         let max_memory_bytes = match v.get("max_memory_bytes") {
             Some(b) => Some(b.as_u64().ok_or_else(|| {
                 Error::Protocol("\"max_memory_bytes\" must be a non-negative integer".into())
@@ -312,7 +298,6 @@ impl Request {
             deadline,
             max_memory_bytes,
             frontier: bool_field("frontier", false)?,
-            dp_kernel,
         })
     }
 }
@@ -535,23 +520,17 @@ mod tests {
         assert_eq!(r.deadline, None);
         assert_eq!(r.max_memory_bytes, None);
         assert!(!r.frontier && !r.wants_frontier());
-        assert_eq!(r.dp_kernel, None);
     }
 
     #[test]
-    fn dp_kernel_field_parses_and_rejects_unknown_values() {
-        let r = Request::parse("{\"model\": \"mlp\", \"dp_kernel\": \"scalar\"}").unwrap();
-        assert_eq!(r.dp_kernel, Some(DpKernel::Scalar));
-        let r = Request::parse("{\"model\": \"mlp\", \"dp_kernel\": \"tiled\"}").unwrap();
-        assert_eq!(r.dp_kernel, Some(DpKernel::Tiled));
-        for bad in [
-            "{\"model\": \"mlp\", \"dp_kernel\": \"vectorized\"}",
+    fn the_retired_dp_kernel_field_is_ignored_like_any_unknown_field() {
+        let plain = Request::parse("{\"model\": \"mlp\"}").unwrap();
+        for legacy in [
+            "{\"model\": \"mlp\", \"dp_kernel\": \"scalar\"}",
+            "{\"model\": \"mlp\", \"dp_kernel\": \"tiled\"}",
             "{\"model\": \"mlp\", \"dp_kernel\": 1}",
         ] {
-            assert!(
-                matches!(Request::parse(bad), Err(Error::Protocol(_))),
-                "{bad}"
-            );
+            assert_eq!(Request::parse(legacy).unwrap(), plain, "{legacy}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! `epoll_ctl`, `epoll_wait`, `pipe2`) the same way
 //! [`crate::install_sigint`] declares `signal(2)` — libc is always linked
 //! into std binaries on Linux. Everything unsafe lives here behind a safe
-//! API; the event loop in [`crate::event`] never touches a raw fd except
+//! API; the event loop in `crate::event` never touches a raw fd except
 //! through [`Reactor`] and [`WakePipe`].
 //!
 //! The reactor is **level-triggered** (the epoll default): a socket with

@@ -23,7 +23,7 @@ use crate::protocol::{
     write_response_json, write_stats_json, Request, RequestKind,
 };
 use crate::sharded::{Lookup, ShardedCache};
-use pase_core::{FrontierPoint, Search, SearchOutcome, SearchReport};
+use pase_core::{cheapest_within, FrontierPoint, Search, SearchOutcome, SearchReport};
 use pase_cost::{ConfigRule, PruneOptions};
 use pase_obs::Trace;
 use std::io::{ErrorKind, Read, Write};
@@ -542,7 +542,7 @@ fn write_frontier_from_points(
     out: &mut String,
 ) {
     let picked = match req.max_memory_bytes {
-        Some(budget) => points.iter().find(|p| p.memory_bytes <= budget),
+        Some(budget) => cheapest_within(points, budget),
         None => points.first(),
     };
     let min_memory_bytes = points.last().map_or(0, |p| p.memory_bytes);
@@ -632,9 +632,6 @@ pub(crate) fn answer_search(req: &Request, shared: &Shared, out: &mut String) {
             epsilon: req.epsilon,
             ..PruneOptions::default()
         });
-    }
-    if let Some(kernel) = req.dp_kernel {
-        search = search.dp_kernel(kernel);
     }
     if wants_frontier {
         // Deliberately only `.frontier()`, never `.max_memory_bytes()`:
@@ -1025,6 +1022,35 @@ mod tests {
         assert!(bytes > 0, "one resident entry must be accounted");
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    #[test]
+    fn a_request_carrying_the_retired_dp_kernel_field_gets_the_same_answer() {
+        // Older servers accepted "dp_kernel" to pick the DP fill loop; it
+        // never changed an answer and is now ignored like any unknown
+        // field. Each request goes to a fresh server so both are misses.
+        let legacy = MLP.replace('}', ", \"dp_kernel\": \"scalar\"}");
+        let mut answers = Vec::new();
+        for line in [legacy.as_str(), MLP] {
+            let (addr, handle, join) = start(ServerConfig::default());
+            answers.push(query(addr, line));
+            handle.shutdown();
+            join.join().unwrap();
+        }
+        let engine = |v: &json::Value| {
+            v.get("report")
+                .and_then(|r| r.get("stats"))
+                .and_then(|s| s.get("dp_kernel"))
+                .cloned()
+        };
+        for field in ["cached", "cache_key", "cost", "strategy"] {
+            assert_eq!(answers[0].get(field), answers[1].get(field), "{field}");
+        }
+        assert_eq!(engine(&answers[0]), engine(&answers[1]));
+        assert_eq!(
+            engine(&answers[0]).as_ref().and_then(|k| k.as_str()),
+            Some("tiled")
+        );
     }
 
     #[test]

@@ -31,18 +31,12 @@ Two further modes:
                                    drops the budget, so both must be cache
                                    hits on F's entry — one DP fill serves
                                    every budget variant — and each answer
-                                   must be a point of F's frontier. STATS
-                                   must account exactly 1 miss + 2 hits.
-  check_serve.py --frontier-kernel TILED SCALAR
-                                   TILED is a default `--frontier` response
-                                   (the run-blocked frontier microkernel,
-                                   stats.dp_kernel "frontier-tiled");
-                                   SCALAR the response of a fresh cell
-                                   queried with `--dp-kernel scalar`
-                                   (stats.dp_kernel "frontier"). Both must
-                                   be fresh fills with well-formed Pareto
-                                   sets whose length matches
-                                   stats.frontier_len.
+                                   must be a point of F's frontier. F's
+                                   report must name the frontier
+                                   microkernel (stats.dp_kernel
+                                   "frontier-tiled") and count its points
+                                   in stats.frontier_len. STATS must
+                                   account exactly 1 miss + 2 hits.
   check_serve.py --mesh FLAT FLAT_INLINE TIER2 HETERO STATS
                                    One model planned across mesh shapes.
                                    FLAT names a registry profile;
@@ -136,6 +130,13 @@ def check_frontier(f_path: str, b1_path: str, b2_path: str, stats_path: str) -> 
     assert fr["cost"] == points[0]["cost"], (
         "an unbudgeted frontier query must answer the min-time point"
     )
+    fstats = fr["report"]["stats"]
+    assert fstats["dp_kernel"] == "frontier-tiled", (
+        f"the frontier fill must run the frontier microkernel: {fstats}"
+    )
+    assert fstats["frontier_len"] == len(points), (
+        f"stats.frontier_len {fstats['frontier_len']} != {len(points)} returned points"
+    )
 
     answers = {(p["cost"], p["memory_bytes"]) for p in points}
     for i, path in enumerate((b1_path, b2_path), 1):
@@ -164,39 +165,6 @@ def check_frontier(f_path: str, b1_path: str, b2_path: str, stats_path: str) -> 
     print(
         f"serve frontier OK: {len(points)}-point frontier, key {fr['cache_key']}, "
         f"1 fill + 2 budget hits"
-    )
-
-
-def check_frontier_kernel(tiled_path: str, scalar_path: str) -> None:
-    responses = {}
-    for name, path, kernel in (
-        ("tiled", tiled_path, "frontier-tiled"),
-        ("scalar", scalar_path, "frontier"),
-    ):
-        with open(path) as f:
-            q = json.load(f)
-        assert "error" not in q, f"{name} frontier query failed: {q['error']}"
-        assert q["report"]["outcome"] == "ok", f"{name}: {q['report']}"
-        assert q["cached"] is False, f"{name}: must be a fresh DP fill, not a hit"
-        stats = q["report"]["stats"]
-        assert stats["dp_kernel"] == kernel, (
-            f"{name}: expected dp_kernel {kernel!r}: {stats}"
-        )
-        points = q["frontier"]
-        assert points, f"{name}: empty frontier"
-        for a, b in zip(points, points[1:]):
-            assert a["cost"] < b["cost"] and a["memory_bytes"] > b["memory_bytes"], (
-                f"{name}: frontier is not dominance-pruned: {a} vs {b}"
-            )
-        assert stats["frontier_len"] == len(points), (
-            f"{name}: stats.frontier_len {stats['frontier_len']} != "
-            f"{len(points)} returned points"
-        )
-        responses[name] = q
-    print(
-        f"serve frontier-kernel OK: tiled {len(responses['tiled']['frontier'])} "
-        f"points, scalar {len(responses['scalar']['frontier'])} points, "
-        f"kernels recorded in both reports"
     )
 
 
@@ -268,9 +236,6 @@ def main() -> None:
         return
     if sys.argv[1] == "--frontier":
         check_frontier(sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5])
-        return
-    if sys.argv[1] == "--frontier-kernel":
-        check_frontier_kernel(sys.argv[2], sys.argv[3])
         return
     if sys.argv[1] == "--mesh":
         check_mesh(sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5], sys.argv[6])

@@ -9,10 +9,9 @@ Checks:
     interning, table_build, prune, structure, plan, backtrack) and at least
     one per-wavefront fill span; when the adaptive gate skipped the prune
     (stats.prune_skipped), the prune span must be ABSENT instead of empty;
-  * when stats.dp_kernel is a packing kernel ("tiled", or "frontier-tiled"
-    for Pareto-frontier searches), the trace must contain the nested
-    "kernel" sub-span and a packed_bytes counter sample; with the
-    per-entry kernels ("scalar" / "frontier") neither may appear;
+  * every DP fill runs a packing microkernel (stats.dp_kernel "tiled", or
+    "frontier-tiled" for Pareto-frontier searches), so the trace must
+    contain the nested "kernel" sub-span and a packed_bytes counter sample;
   * the summed span durations are within 10% of the elapsed time reported
     by the embedded search report (the spans partition the pipeline, so
     their sum must also not exceed elapsed by more than rounding). The
@@ -73,20 +72,13 @@ def main() -> None:
         fail(f"no per-wavefront fill spans (have: {sorted(names)})")
 
     dp_kernel = report["stats"].get("dp_kernel")
+    if dp_kernel not in ("tiled", "frontier-tiled"):
+        fail(f"stats.dp_kernel is {dp_kernel!r}, want 'tiled' or 'frontier-tiled'")
+    if "kernel" not in names:
+        fail(f"the DP ran ({dp_kernel}) but the trace has no kernel span")
     counter_names = {e["name"] for e in events if e.get("ph") == "C"}
-    if dp_kernel in ("tiled", "frontier-tiled"):
-        if "kernel" not in names:
-            fail(f"stats.dp_kernel is {dp_kernel} but the trace has no kernel span")
-        if "packed_bytes" not in counter_names:
-            fail(
-                f"stats.dp_kernel is {dp_kernel} but the trace has no "
-                "packed_bytes counter"
-            )
-    else:
-        if "kernel" in names:
-            fail(f"dp_kernel={dp_kernel!r} must not record a kernel span")
-        if "packed_bytes" in counter_names:
-            fail(f"dp_kernel={dp_kernel!r} must not record a packed_bytes counter")
+    if "packed_bytes" not in counter_names:
+        fail(f"the DP ran ({dp_kernel}) but the trace has no packed_bytes counter")
 
     elapsed_us = report["stats"]["elapsed"] * 1e6
     # The kernel sub-span nests inside its fill span — its time is already

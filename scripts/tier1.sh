@@ -19,26 +19,16 @@ cargo run -p pase-bench --release --bin bench_search
 
 # Trace smoke: the acceptance search must write a valid Chrome-trace JSON
 # document containing a span for every pipeline phase, and the spans must
-# account for the reported elapsed time (within 10%). Run explicitly with
-# the tiled DP kernel: check_trace.py then also asserts the nested
-# "kernel" sub-span and the packed_bytes counter are present.
+# account for the reported elapsed time (within 10%); check_trace.py also
+# asserts the nested "kernel" sub-span and the packed_bytes counter the
+# tiled DP kernel records.
 trace_dir="$(mktemp -d)"
 serve_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$serve_dir"' EXIT
 cargo run -p pase-cli --release --bin pase -- search \
-    --model transformer --devices 64 --dp-kernel tiled \
+    --model transformer --devices 64 \
     --trace-out "$trace_dir/trace.json" --json --out "$trace_dir/spec.json"
 python3 scripts/check_trace.py "$trace_dir/trace.json" "$trace_dir/spec.json"
-
-# Scalar-kernel trace smoke: the same search with --dp-kernel scalar must
-# record NO kernel span and NO packed_bytes counter — check_trace.py
-# asserts both directions from stats.dp_kernel.
-./target/release/pase search --model transformer --devices 64 \
-    --dp-kernel scalar \
-    --trace-out "$trace_dir/scalar_trace.json" --json \
-    --out "$trace_dir/scalar_spec.json"
-python3 scripts/check_trace.py "$trace_dir/scalar_trace.json" \
-    "$trace_dir/scalar_spec.json"
 
 # Gate smoke: with --prune-gate=auto on AlexNet the prune must be skipped
 # (stats.prune_skipped in the report) and the trace must then contain NO
@@ -122,11 +112,11 @@ kill -INT "$serve_pid"
 wait "$serve_pid"
 python3 scripts/check_serve.py --prewarm "$serve_dir/prewarm_q.json"
 
-# Frontier smoke: one --frontier query pays the only DP fill; two
-# different --max-memory queries for the same cell (one generous, one
-# equal to the frontier's memory floor) must then both be cache hits on
-# the same entry — the cache key deliberately drops the memory budget —
-# and must answer points of the cached frontier.
+# Frontier smoke: one --frontier query pays the only DP fill (through the
+# frontier microkernel); two different --max-memory queries for the same
+# cell (one generous, one equal to the frontier's memory floor) must then
+# both be cache hits on the same entry — the cache key deliberately drops
+# the memory budget — and must answer points of the cached frontier.
 ./target/release/pase serve --addr 127.0.0.1:0 --workers 2 \
     > "$serve_dir/frontier.out" 2> "$serve_dir/frontier.err" &
 serve_pid=$!
@@ -152,20 +142,10 @@ print(min(p['memory_bytes'] for p in json.load(open('$serve_dir/f.json'))['front
 ./target/release/pase query --model mlp --devices 8 --max-memory "$floor" \
     --addr "$addr" --out "$serve_dir/b2.json"
 ./target/release/pase query --stats --addr "$addr" --out "$serve_dir/fstats.json"
-# Frontier-kernel smoke: a fresh cell queried with --dp-kernel scalar must
-# run the incremental frontier fill (stats.dp_kernel "frontier" in the
-# report), while the default frontier query above ran the run-blocked
-# microkernel ("frontier-tiled") — check_serve.py asserts both reports and
-# the well-formedness of both Pareto sets. Issued after the stats probe so
-# the 1-fill + 2-hit accounting above stays exact.
-./target/release/pase query --model mlp --devices 4 --frontier \
-    --dp-kernel scalar --addr "$addr" --out "$serve_dir/f_scalar.json"
 kill -INT "$serve_pid"
 wait "$serve_pid"
 python3 scripts/check_serve.py --frontier "$serve_dir/f.json" \
     "$serve_dir/b1.json" "$serve_dir/b2.json" "$serve_dir/fstats.json"
-python3 scripts/check_serve.py --frontier-kernel "$serve_dir/f.json" \
-    "$serve_dir/f_scalar.json"
 
 # Mesh smoke: one model planned across three mesh shapes. The named
 # profile and an inline scalar machine object with the same numbers must

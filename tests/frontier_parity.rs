@@ -1,24 +1,32 @@
 //! Frontier parity: the Pareto-frontier DP must be a **pure
-//! generalization** of the scalar DP. Two contracts, checked under both
-//! schedulers (rayon and sequential) and both DP kernels:
+//! generalization** of the scalar DP. Two contracts, checked for the
+//! production microkernel under both schedulers (rayon and sequential) and
+//! for the incremental reference fill (`pase_core::reference::frontier`):
 //!
 //! (a) the frontier's min-time point is bit-identical (`to_bits`, not a
-//!     tolerance) to the single-objective optimum — the frontier fill
-//!     preserves the scalar path's exact f64 addition order, so turning
-//!     the feature on cannot change the answer it subsumes;
+//!     tolerance) to the single-objective optimum of the scalar reference
+//!     loop — the frontier fill preserves the scalar path's exact f64
+//!     addition order, so turning the feature on cannot change the answer
+//!     it subsumes;
 //! (b) a `max_memory_bytes` search answers with exactly the cheapest
 //!     frontier point that fits the cap, and an impossible cap reports
 //!     `Infeasible` carrying the frontier's true memory floor.
 //!
+//! Across the two fills, the frontiers share their memory floor at the
+//! default width and are set-identical at width 0 (thinning disabled).
+//!
 //! Covered on random chain-with-skips DAGs (the same generator family as
 //! `parity.rs` / `kernel_parity.rs`) and on all four paper benchmarks at
-//! p ∈ {8, 32, 64} — the ISSUE acceptance grid.
+//! p ∈ {8, 32, 64} — the acceptance grid.
 
-use pase::core::{DpKernel, Search, SearchOutcome, StrategyFrontier};
+use pase::core::{reference, Search, SearchOutcome, StrategyFrontier};
 use pase::cost::{ConfigRule, CostTables, MachineSpec};
 use pase::graph::{Graph, GraphBuilder, IterDim, Node, NodeId, OpKind, TensorRef};
 use pase::models::Benchmark;
 use proptest::prelude::*;
+
+/// The per-state frontier width the frontier engine uses by default.
+const DEFAULT_WIDTH: usize = 8;
 
 fn fc_node(name: &str, batch: u64, out_w: u64, in_w: u64, ins: usize) -> Node {
     let dims = vec![
@@ -69,15 +77,10 @@ fn random_graph(widths: &[u64], skips: &[bool]) -> Graph {
 fn frontier_run(
     g: &Graph,
     tables: &CostTables,
-    kernel: DpKernel,
     parallel: bool,
     max_memory: Option<u64>,
 ) -> (SearchOutcome, Option<StrategyFrontier>) {
-    let mut search = Search::new(g)
-        .tables(tables)
-        .dp_kernel(kernel)
-        .parallel(parallel)
-        .frontier();
+    let mut search = Search::new(g).tables(tables).parallel(parallel).frontier();
     if let Some(bytes) = max_memory {
         search = search.max_memory_bytes(bytes);
     }
@@ -92,12 +95,11 @@ fn assert_budget_answer(
     label: &str,
     g: &Graph,
     tables: &CostTables,
-    kernel: DpKernel,
     parallel: bool,
     frontier: &StrategyFrontier,
     budget: u64,
 ) {
-    let (outcome, _) = frontier_run(g, tables, kernel, parallel, Some(budget));
+    let (outcome, _) = frontier_run(g, tables, parallel, Some(budget));
     match frontier.cheapest_within(budget) {
         Some(expected) => {
             let r = outcome.found().unwrap_or_else(|| {
@@ -140,9 +142,28 @@ fn assert_budget_answer(
     }
 }
 
-/// Both contracts over the given (kernel × scheduler) combinations.
-/// `probes` sets how much of contract (b) runs — every budget probe pays
-/// a full frontier fill, so the heaviest cells dial it down:
+/// The frontier is well-formed: cost strictly ascending, memory strictly
+/// descending (dominance-pruned), and its min-time point bit-identical to
+/// the scalar optimum `optimum` — contract (a).
+fn assert_min_time_parity(label: &str, f: &StrategyFrontier, optimum: f64) {
+    assert_eq!(
+        f.min_time().cost.to_bits(),
+        optimum.to_bits(),
+        "{label}: frontier min-time {} != scalar optimum {optimum}",
+        f.min_time().cost,
+    );
+    for w in f.points().windows(2) {
+        assert!(
+            w[0].cost < w[1].cost && w[0].memory_bytes > w[1].memory_bytes,
+            "{label}: frontier is not dominance-pruned: {w:?}"
+        );
+    }
+}
+
+/// Both contracts: (a) for the incremental reference fill and for the
+/// production fill under each listed scheduler, (b) for the production
+/// fill. `probes` sets how much of contract (b) runs — every budget probe
+/// pays a full frontier fill, so the heaviest cells dial it down:
 /// 0 = contract (a) only; 1 = the two boundary regimes (the memory floor
 /// and one impossible cap); 2 = additionally every exact point memory
 /// (each cap that fits point k but not k−1 must answer point k).
@@ -150,94 +171,86 @@ fn assert_frontier_parity(
     label: &str,
     g: &Graph,
     tables: &CostTables,
-    combos: &[(DpKernel, bool)],
+    schedulers: &[bool],
     probes: u8,
 ) {
-    for &(kernel, parallel) in combos {
-        {
-            let label = format!("{label} ({kernel:?}, parallel={parallel})");
-            let scalar = Search::new(g)
-                .tables(tables)
-                .dp_kernel(kernel)
-                .parallel(parallel)
-                .run()
-                .into_outcome();
-            let s = scalar
-                .found()
-                .unwrap_or_else(|| panic!("{label}: scalar search failed"));
+    let optimum = reference::scalar_search(g, tables, None).cost;
+    let oracle = reference::frontier(g, tables, DEFAULT_WIDTH, None);
+    assert_min_time_parity(&format!("{label} (reference)"), &oracle, optimum);
+    for &parallel in schedulers {
+        let label = format!("{label} (parallel={parallel})");
+        let scalar = Search::new(g)
+            .tables(tables)
+            .parallel(parallel)
+            .run()
+            .into_outcome();
+        let s = scalar
+            .found()
+            .unwrap_or_else(|| panic!("{label}: scalar search failed"));
+        assert_eq!(
+            s.cost.to_bits(),
+            optimum.to_bits(),
+            "{label}: scalar optimum {} != the reference loop's {optimum}",
+            s.cost
+        );
 
-            let (outcome, frontier) = frontier_run(g, tables, kernel, parallel, None);
-            let f = frontier.unwrap_or_else(|| panic!("{label}: no frontier"));
-            let r = outcome
-                .found()
-                .unwrap_or_else(|| panic!("{label}: frontier search failed"));
+        let (outcome, frontier) = frontier_run(g, tables, parallel, None);
+        let f = frontier.unwrap_or_else(|| panic!("{label}: no frontier"));
+        let r = outcome
+            .found()
+            .unwrap_or_else(|| panic!("{label}: frontier search failed"));
 
-            // (a) min-time parity, bit for bit — and the unconstrained
-            // search selects exactly that point.
-            assert_eq!(
-                f.min_time().cost.to_bits(),
-                s.cost.to_bits(),
-                "{label}: frontier min-time {} != scalar optimum {}",
-                f.min_time().cost,
-                s.cost
-            );
-            assert_eq!(
-                r.cost.to_bits(),
-                s.cost.to_bits(),
-                "{label}: unconstrained frontier answer differs from the scalar optimum"
-            );
-            assert_eq!(
-                r.stats.frontier_len,
-                f.len(),
-                "{label}: stats disagree with the returned frontier"
-            );
+        // (a) min-time parity, bit for bit — and the unconstrained search
+        // selects exactly that point.
+        assert_min_time_parity(&label, &f, optimum);
+        assert_eq!(
+            r.cost.to_bits(),
+            optimum.to_bits(),
+            "{label}: unconstrained frontier answer differs from the scalar optimum"
+        );
+        assert_eq!(
+            r.stats.frontier_len,
+            f.len(),
+            "{label}: stats disagree with the returned frontier"
+        );
 
-            // The frontier itself is well-formed: cost strictly ascending,
-            // memory strictly descending (dominance-pruned).
-            for w in f.points().windows(2) {
-                assert!(
-                    w[0].cost < w[1].cost && w[0].memory_bytes > w[1].memory_bytes,
-                    "{label}: frontier is not dominance-pruned: {w:?}"
-                );
+        // (b) the two boundary regimes: only the floor fits, and nothing
+        // fits.
+        if probes >= 1 {
+            let floor = f.min_memory_bytes();
+            assert_budget_answer(&label, g, tables, parallel, &f, floor);
+            if floor > 0 {
+                assert_budget_answer(&label, g, tables, parallel, &f, floor - 1);
             }
-
-            // (b) the two boundary regimes: only the floor fits, and
-            // nothing fits.
-            if probes >= 1 {
-                let floor = f.min_memory_bytes();
-                assert_budget_answer(&label, g, tables, kernel, parallel, &f, floor);
-                if floor > 0 {
-                    assert_budget_answer(&label, g, tables, kernel, parallel, &f, floor - 1);
-                }
-            }
-            if probes >= 2 {
-                for pt in f.points() {
-                    assert_budget_answer(&label, g, tables, kernel, parallel, &f, pt.memory_bytes);
-                }
+        }
+        if probes >= 2 {
+            for pt in f.points() {
+                assert_budget_answer(&label, g, tables, parallel, &f, pt.memory_bytes);
             }
         }
     }
 }
 
 /// The `width == 0` exactness contract: with thinning disabled the
-/// tiled kernel's batch prunes are off, and the two kernels must produce
-/// **set-identical** frontiers — bitwise times, equal memories, point
-/// for point.
-fn assert_kernels_set_identical_exact(label: &str, g: &Graph, tables: &CostTables, parallel: bool) {
-    let run = |kernel| {
-        Search::new(g)
-            .tables(tables)
-            .dp_kernel(kernel)
-            .parallel(parallel)
-            .frontier_width(0)
-            .frontier()
-            .run()
-            .frontier()
-            .cloned()
-            .unwrap_or_else(|| panic!("{label}: no width-0 frontier"))
-    };
-    let a = run(DpKernel::Scalar);
-    let b = run(DpKernel::Tiled);
+/// microkernel's batch prunes are off, and its frontier must be
+/// **set-identical** to the incremental reference fill's — bitwise times,
+/// equal memories, point for point.
+fn assert_set_identical_to_the_oracle_exact(
+    label: &str,
+    g: &Graph,
+    tables: &CostTables,
+    parallel: bool,
+) {
+    let a = reference::frontier(g, tables, 0, None);
+    let b = Search::new(g)
+        .tables(tables)
+        .parallel(parallel)
+        .frontier_width(0)
+        .frontier()
+        .run()
+        .frontier()
+        .cloned()
+        .unwrap_or_else(|| panic!("{label}: no width-0 frontier"));
     assert_eq!(
         a.len(),
         b.len(),
@@ -260,36 +273,31 @@ fn assert_kernels_set_identical_exact(label: &str, g: &Graph, tables: &CostTable
     }
 }
 
-/// At the default (width-capped) frontier, the tiled kernel's batch
-/// prunes keep two things exact besides the min-time bits of contract
-/// (a): the frontier's memory floor, and the max-memory endpoint's
-/// membership. Both kernels must agree on the floor bit for bit.
-fn assert_kernels_share_memory_floor(label: &str, g: &Graph, tables: &CostTables, parallel: bool) {
-    let floor = |kernel| {
-        frontier_run(g, tables, kernel, parallel, None)
-            .1
-            .unwrap_or_else(|| panic!("{label}: no frontier"))
-            .min_memory_bytes()
-    };
+/// At the default (width-capped) frontier, the microkernel's batch prunes
+/// keep two things exact besides the min-time bits of contract (a): the
+/// frontier's memory floor, and the max-memory endpoint's membership. The
+/// microkernel must agree with the reference fill on the floor.
+fn assert_shares_the_oracle_memory_floor(
+    label: &str,
+    g: &Graph,
+    tables: &CostTables,
+    parallel: bool,
+) {
+    let tiled = frontier_run(g, tables, parallel, None)
+        .1
+        .unwrap_or_else(|| panic!("{label}: no frontier"));
     assert_eq!(
-        floor(DpKernel::Scalar),
-        floor(DpKernel::Tiled),
-        "{label}: kernels disagree on the frontier's memory floor"
+        reference::frontier(g, tables, DEFAULT_WIDTH, None).min_memory_bytes(),
+        tiled.min_memory_bytes(),
+        "{label}: the microkernel disagrees with the reference on the memory floor"
     );
 }
-
-const ALL_COMBOS: [(DpKernel, bool); 4] = [
-    (DpKernel::Scalar, false),
-    (DpKernel::Scalar, true),
-    (DpKernel::Tiled, false),
-    (DpKernel::Tiled, true),
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Frontier == scalar on random DAGs under the full
-    /// (kernel × scheduler) grid, with budget answers equal to the
+    /// Frontier == scalar on random DAGs for the reference fill and the
+    /// microkernel under both schedulers, with budget answers equal to the
     /// cheapest fitting frontier point at every exact point memory.
     #[test]
     fn frontier_matches_scalar_on_random_dags(
@@ -299,28 +307,26 @@ proptest! {
     ) {
         let g = random_graph(&widths, &skips);
         let tables = CostTables::build(&g, ConfigRule::new(p), &MachineSpec::test_machine());
-        assert_frontier_parity("random dag", &g, &tables, &ALL_COMBOS, 2);
+        assert_frontier_parity("random dag", &g, &tables, &[false, true], 2);
         for parallel in [false, true] {
             let label = format!("random dag (parallel={parallel})");
-            assert_kernels_set_identical_exact(&label, &g, &tables, parallel);
-            assert_kernels_share_memory_floor(&label, &g, &tables, parallel);
+            assert_set_identical_to_the_oracle_exact(&label, &g, &tables, parallel);
+            assert_shares_the_oracle_memory_floor(&label, &g, &tables, parallel);
         }
     }
 }
 
-/// The ISSUE acceptance grid: frontier min-time == scalar optimum on
-/// AlexNet, InceptionV3, RNNLM, and Transformer at p ∈ {8, 32, 64}
-/// (tiny variants keep the debug-mode DP feasible, as in `parity.rs`).
-/// Each cell runs two of the four (kernel × scheduler) combinations,
-/// rotated so every combination covers every benchmark and every `p`
-/// across the grid while keeping debug-mode wall time near
-/// `kernel_parity`'s.
+/// The acceptance grid: frontier min-time == scalar optimum on AlexNet,
+/// InceptionV3, RNNLM, and Transformer at p ∈ {8, 32, 64} (tiny variants
+/// keep the debug-mode DP feasible, as in `parity.rs`). Each cell checks
+/// the reference fill and the microkernel under both schedulers.
 ///
 /// InceptionV3's dense concat blocks make its frontier fill by far the
-/// grid's most expensive (tens of seconds per fill in debug at p ≥ 32),
-/// so debug builds cover it at p = 8 with one combination and leave the
-/// full InceptionV3 column to release runs — `bench_search` asserts
-/// min-time bit-parity on every grid cell in release on every tier-1 run.
+/// grid's most expensive (tens of seconds per reference fill in debug at
+/// p ≥ 32), so debug builds cover it at p = 8 under one scheduler and
+/// leave the full InceptionV3 column to release runs — `bench_search`
+/// asserts min-time bit-parity on every grid cell in release on every
+/// tier-1 run.
 #[test]
 fn frontier_matches_scalar_on_paper_benchmarks() {
     let machine = MachineSpec::test_machine();
@@ -333,20 +339,19 @@ fn frontier_matches_scalar_on_paper_benchmarks() {
             }
             let tables = CostTables::build(&graph, ConfigRule::new(p), &machine);
             let label = format!("{} p={p}", bench.name());
-            let rot = (b + i) % 2;
-            let combos = [ALL_COMBOS[rot], ALL_COMBOS[2 + (1 - rot)]];
-            let combos: &[(DpKernel, bool)] = if cfg!(debug_assertions) && inception {
-                &combos[..1]
+            let rot = (b + i) % 2 == 0;
+            let schedulers: &[bool] = if cfg!(debug_assertions) && inception {
+                &[rot]
             } else {
-                &combos
+                &[rot, !rot]
             };
-            assert_frontier_parity(&label, &graph, &tables, combos, 1);
-            // The cross-kernel exactness contracts, on the cheapest cell
-            // of each model's column (width-0 fills disable thinning, so
-            // they are the grid's most expensive runs).
+            assert_frontier_parity(&label, &graph, &tables, schedulers, 1);
+            // The cross-fill exactness contracts, on the cheapest cell of
+            // each model's column (width-0 fills disable thinning, so they
+            // are the grid's most expensive runs).
             if p == 8 && !(cfg!(debug_assertions) && inception) {
-                assert_kernels_set_identical_exact(&label, &graph, &tables, b % 2 == 0);
-                assert_kernels_share_memory_floor(&label, &graph, &tables, b % 2 == 1);
+                assert_set_identical_to_the_oracle_exact(&label, &graph, &tables, b % 2 == 0);
+                assert_shares_the_oracle_memory_floor(&label, &graph, &tables, b % 2 == 1);
             }
         }
     }

@@ -1,20 +1,21 @@
-//! Kernel parity: `DpKernel::Tiled` must be **bit-identical** to
-//! `DpKernel::Scalar` — same optimal cost (compared via `to_bits`, not a
-//! tolerance) and the same per-node configuration ids — on random DAGs and
-//! on all four paper benchmarks across device counts. This is the contract
-//! that makes the tiled microkernel a pure performance change: the packed
-//! panels preserve the scalar path's exact f64 addition order (layer cost,
-//! then later edges in order, then children in order), blocked `min` over
-//! non-NaN costs equals sequential `min`, and the separate argmin recovery
-//! pass returns the same first-improving index the scalar loop tracks
-//! inline.
+//! Kernel parity: the tiled microkernel that fills every production DP
+//! table must be **bit-identical** to the scalar reference loop
+//! (`pase_core::reference::scalar_search`) — same optimal cost (compared
+//! via `to_bits`, not a tolerance) and the same per-node configuration ids
+//! — on random DAGs and on all four paper benchmarks across device counts,
+//! under both schedulers. This is the contract that makes the tiled
+//! microkernel a pure performance change: the packed panels preserve the
+//! scalar loop's exact f64 addition order (layer cost, then later edges in
+//! order, then children in order), blocked `min` over non-NaN costs equals
+//! sequential `min`, and the separate argmin recovery pass returns the same
+//! first-improving index the scalar loop tracks inline.
 //!
 //! The sweep deliberately covers ragged shapes: per-vertex config counts
 //! that are not multiples of the kernel's LANES blocking (so remainder
 //! lanes run), chunk boundaries that split innermost-digit runs, and
 //! p = 64 cells whose tables span multiple `CHUNK`-sized fill chunks.
 
-use pase::core::{DpKernel, Search, SearchOutcome};
+use pase::core::{reference, Search, SearchOutcome};
 use pase::cost::{ConfigRule, CostTables, MachineSpec};
 use pase::graph::{Graph, GraphBuilder, IterDim, Node, NodeId, OpKind, TensorRef};
 use pase::models::Benchmark;
@@ -66,25 +67,21 @@ fn random_graph(widths: &[u64], skips: &[bool]) -> Graph {
     b.build().expect("kernel-parity graph builds")
 }
 
-fn run(g: &Graph, tables: &CostTables, kernel: DpKernel, parallel: bool) -> SearchOutcome {
+fn run(g: &Graph, tables: &CostTables, parallel: bool) -> SearchOutcome {
     Search::new(g)
         .tables(tables)
-        .dp_kernel(kernel)
         .parallel(parallel)
         .run()
         .into_outcome()
 }
 
-/// Run both kernels (in both the rayon and the sequential scheduler, which
-/// take different code paths to the same `fill_chunk` call) and require
-/// bit-identical results.
+/// Run the production search in both the rayon and the sequential
+/// scheduler (which take different code paths to the same tiled fill) and
+/// require results bit-identical to the scalar reference loop's.
 fn assert_kernel_parity(label: &str, g: &Graph, tables: &CostTables) {
-    let scalar = run(g, tables, DpKernel::Scalar, true);
-    let s = scalar
-        .found()
-        .unwrap_or_else(|| panic!("{label}: scalar search failed"));
+    let s = reference::scalar_search(g, tables, None);
     for parallel in [true, false] {
-        let tiled = run(g, tables, DpKernel::Tiled, parallel);
+        let tiled = run(g, tables, parallel);
         let t = tiled
             .found()
             .unwrap_or_else(|| panic!("{label}: tiled search failed (parallel={parallel})"));

@@ -8,13 +8,14 @@
 //!   deliberately untouched by the mesh refactor so they stay a fixed
 //!   reference);
 //! * *search level*: the DP over flat-mesh tables returns the same cost
-//!   bits and the same strategy under both DP kernels and both
-//!   schedulers (wavefront-parallel and sequential).
+//!   bits and the same strategy under both schedulers (wavefront-parallel
+//!   and sequential) as the scalar reference loop
+//!   (`pase_core::reference::scalar_search`).
 //!
 //! Covered on proptest-random skip DAGs and on all four paper benchmarks
 //! at p ∈ {8, 32, 64}.
 
-use pase::core::{DpKernel, Search, SearchOutcome};
+use pase::core::{reference, Search, SearchOutcome};
 use pase::cost::{
     layer_cost, transfer_cost, ConfigRule, CostTables, DeviceMesh, MachineSpec, TableOptions,
 };
@@ -100,38 +101,35 @@ fn assert_tables_match_scalar(label: &str, graph: &Graph, tables: &CostTables, m
     }
 }
 
-/// Run the DP over the given tables under every kernel × scheduler combo
-/// and assert all four outcomes are bit-identical. Returns one of them.
+/// Run the DP over the given tables under both schedulers and assert both
+/// outcomes are bit-identical to the scalar reference loop's. Returns the
+/// wavefront-parallel outcome.
 fn assert_dp_combos_agree(label: &str, graph: &Graph, tables: &CostTables) -> SearchOutcome {
-    let mut reference: Option<SearchOutcome> = None;
-    for kernel in [DpKernel::Scalar, DpKernel::Tiled] {
-        for parallel in [true, false] {
+    let want = reference::scalar_search(graph, tables, None);
+    let mut outcomes: Vec<SearchOutcome> = [true, false]
+        .into_iter()
+        .map(|parallel| {
             let outcome = Search::new(graph)
                 .tables(tables)
-                .dp_kernel(kernel)
                 .parallel(parallel)
                 .run()
                 .into_outcome();
             let got = outcome
                 .found()
-                .unwrap_or_else(|| panic!("{label}: {kernel:?}/parallel={parallel} failed"));
-            if let Some(r) = &reference {
-                let want = r.found().unwrap();
-                assert_eq!(
-                    want.cost.to_bits(),
-                    got.cost.to_bits(),
-                    "{label}: {kernel:?}/parallel={parallel} cost diverges"
-                );
-                assert_eq!(
-                    want.config_ids, got.config_ids,
-                    "{label}: {kernel:?}/parallel={parallel} strategy diverges"
-                );
-            } else {
-                reference = Some(outcome);
-            }
-        }
-    }
-    reference.unwrap()
+                .unwrap_or_else(|| panic!("{label}: parallel={parallel} failed"));
+            assert_eq!(
+                want.cost.to_bits(),
+                got.cost.to_bits(),
+                "{label}: parallel={parallel} cost diverges from the scalar oracle"
+            );
+            assert_eq!(
+                want.config_ids, got.config_ids,
+                "{label}: parallel={parallel} strategy diverges from the scalar oracle"
+            );
+            outcome
+        })
+        .collect();
+    outcomes.swap_remove(0)
 }
 
 proptest! {

@@ -14,7 +14,7 @@
 //! This is the contract that let callers of the removed
 //! `find_best_strategy*` free-function grid migrate mechanically.
 
-use pase::core::{DpOptions, OrderingKind, Search, SearchOutcome};
+use pase::core::{OrderingKind, Search, SearchOutcome};
 use pase::cost::{ConfigRule, CostTables, DeviceMesh, MachineSpec, PruneOptions};
 use pase::graph::{Graph, GraphBuilder, IterDim, Node, NodeId, OpKind, TensorRef};
 use pase::models::Benchmark;
@@ -131,16 +131,13 @@ proptest! {
             "pruning changed the optimal cost"
         );
 
-        let opts = DpOptions {
-            ordering: OrderingKind::Random { seed: widths.len() as u64 },
-            ..DpOptions::default()
-        };
+        let ordering = OrderingKind::Random { seed: widths.len() as u64 };
         let order_pre = Search::new(&g).tables(&tables)
-            .dp_options(opts).run().into_outcome();
+            .ordering(ordering).run().into_outcome();
         let order_mesh = Search::new(&g)
             .devices(p)
             .mesh(DeviceMesh::flat(&m))
-            .dp_options(opts)
+            .ordering(ordering)
             .run().into_outcome();
         assert_identical("custom ordering", &order_pre, &order_mesh);
     }
