@@ -70,6 +70,11 @@ impl Fnv {
 /// deliberately **not** hashed: a cached frontier answers every budget
 /// variant of the same search by point selection, so all budgets share one
 /// entry and one DP fill.
+///
+/// The key is the composition [`finish_key`]`(`[`graph_digest`]`(graph), ..)`:
+/// the graph section is hashed first, so a caller that has already
+/// digested a graph (the serve path memoizes digests per zoo request)
+/// derives bit-identical keys without rebuilding or re-hashing it.
 pub fn strategy_cache_key(
     graph: &Graph,
     rule: &ConfigRule,
@@ -77,10 +82,16 @@ pub fn strategy_cache_key(
     prune_epsilon: Option<f64>,
     frontier: bool,
 ) -> u64 {
+    finish_key(graph_digest(graph), rule, machine, prune_epsilon, frontier)
+}
+
+/// The first half of [`strategy_cache_key`]: the FNV state after the
+/// schema version and the graph section (structure and iteration spaces,
+/// name-blind). Depends on nothing but the graph, so it can be memoized
+/// for as long as the graph it names does not change.
+pub fn graph_digest(graph: &Graph) -> u64 {
     let mut h = Fnv::new();
     h.u64(SCHEMA_VERSION);
-
-    // Graph structure and iteration spaces (name-blind).
     h.u64(graph.len() as u64);
     for node in graph.nodes() {
         hash_op(&mut h, &node.op);
@@ -109,6 +120,20 @@ pub fn strategy_cache_key(
         h.u64(e.dst.index() as u64);
         h.u64(u64::from(e.dst_slot));
     }
+    h.0
+}
+
+/// The second half of [`strategy_cache_key`]: continue the FNV state
+/// `digest` (a [`graph_digest`]) with the rule, the mesh, the prune
+/// settings and the entry family.
+pub fn finish_key(
+    digest: u64,
+    rule: &ConfigRule,
+    machine: &DeviceMesh,
+    prune_epsilon: Option<f64>,
+    frontier: bool,
+) -> u64 {
+    let mut h = Fnv(digest);
 
     // Configuration-enumeration rule (includes the device count p).
     h.u64(u64::from(rule.devices));
@@ -468,6 +493,17 @@ impl StrategyCache {
         None
     }
 
+    /// The in-memory half of [`StrategyCache::probe`]: refreshes LRU
+    /// recency, but never reads the disk directory and touches no
+    /// counter. The serve front end answers inline hits through this, on
+    /// a thread that must never block on file I/O.
+    pub fn probe_memory(&mut self, key: u64) -> Option<&CacheEntry> {
+        self.tick += 1;
+        let slot = self.map.get_mut(&key)?;
+        slot.last_used = self.tick;
+        Some(&slot.entry)
+    }
+
     /// A genuinely non-mutating in-memory lookup: no counter updates, no
     /// LRU-recency refresh, no disk consultation or promotion. This is the
     /// inspection path — stats probes and prewarm checks must be able to
@@ -643,6 +679,28 @@ mod tests {
             strategy_cache_key(&fc_pair(["a", "b"]), &rule, &m, None, false),
             strategy_cache_key(&fc_pair(["x", "y"]), &rule, &m, None, false),
         );
+    }
+
+    #[test]
+    fn keys_match_their_pinned_values() {
+        // The keys `pase query --model alexnet --devices 8` and
+        // `--model mlp --devices 8 --frontier` were served before the key
+        // was split into graph_digest + finish_key. Keys name --cache-dir
+        // files, so they must never drift without a schema bump.
+        let flat = DeviceMesh::flat(&MachineSpec::gtx1080ti());
+        for (model, frontier, expect) in [
+            ("alexnet", false, 0x5eb4_c9e2_55cf_9657u64),
+            ("mlp", true, 0x1f2e_fcb8_c3a0_3cee),
+        ] {
+            let g = pase_models::build_named(model, 8, false).unwrap();
+            let rule = ConfigRule::new(8);
+            let key = strategy_cache_key(&g, &rule, &flat, None, frontier);
+            assert_eq!(key, expect, "{model}: {key:016x}");
+            assert_eq!(
+                finish_key(graph_digest(&g), &rule, &flat, None, frontier),
+                expect
+            );
+        }
     }
 
     #[test]

@@ -1,26 +1,37 @@
-//! The event-driven front end: one epoll readiness loop owns every
-//! connection, a bounded worker pool runs the searches.
+//! The event-driven front end: a few epoll readiness loops own the
+//! connections, a bounded worker pool runs the searches.
 //!
 //! The thread-per-connection front end ([`crate::server`]) pins a worker
 //! per connection for its whole lifetime, so 512 idle keep-alive clients
 //! starve a 16-worker pool outright. Here the roles are split:
 //!
-//! - **The event thread** owns the listener and every connection's
-//!   read/write buffers. It accepts, reads nonblocking sockets into
+//! - **The event loops**, one per usable CPU (at most one per worker),
+//!   each own a share of the connections and their read/write buffers.
+//!   Loop 0 also owns the listener and deals accepted connections
+//!   round-robin to every loop. A loop reads nonblocking sockets into
 //!   per-connection buffers, splits out complete request lines, flushes
 //!   responses, and closes idle or hostile connections. An idle
 //!   connection costs the bytes of its [`Conn`] struct — no thread, no
 //!   sleep-poll.
+//!   A loop also parses each request line and answers the cheap ones in
+//!   place: a single search whose graph digest is memoized and whose
+//!   entry is resident in memory costs one key, one lookup and one
+//!   serialize ([`answer_hit`]), with no worker hop at all. With one
+//!   loop per CPU, hits from different clients do not queue behind each
+//!   other on one core.
 //! - **The worker pool** (same size and channel discipline as the
-//!   threaded front end) only ever sees complete request lines as
-//!   [`Job`]s. Finished responses come back through a completion queue
-//!   plus a [`WakePipe`] byte, so the reactor wakes exactly when there is
-//!   work, not on a timer.
+//!   threaded front end) gets everything else as parsed [`Job`]s —
+//!   misses, batches, disk-only entries, coalesced waits, stats probes
+//!   and parse errors — so no line is parsed twice. Finished responses
+//!   go back to the loop the job came from through its [`Mailbox`] plus
+//!   a [`WakePipe`] byte, so a loop wakes exactly when there is work, not
+//!   on a timer.
 //!
 //! At most one job per connection is in flight at a time — responses
 //! stay in request order and one chatty client cannot monopolize the
 //! pool; its later lines wait in `Conn::pending` until the earlier
-//! response is handed back.
+//! response is handed back, and only then are they answered (inline or
+//! by a worker).
 //!
 //! Idle-timeout semantics are deliberately stricter than the threaded
 //! loop: only a *complete* request line (or a served response) refreshes
@@ -29,14 +40,15 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::protocol::write_error_json;
+use crate::protocol::{write_error_json, RequestKind};
 use crate::reactor::{Interest, Reactor, WakePipe, Waker};
-use crate::server::{handle_line, summarize, ServeSummary, Shared, MAX_LINE};
+use crate::server::{answer_hit, handle_request, summarize, ServeSummary, Shared, MAX_LINE};
+use pase_core::Error;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -60,10 +72,12 @@ const READ_BUDGET: usize = 16 * 4096;
 /// shutdown on the first idle read poll (one `POLL` tick).
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(20);
 
-/// A complete request line headed for the worker pool.
+/// A parsed request line headed for the worker pool.
 struct Job {
     token: u64,
-    line: String,
+    /// The event loop that owns the connection.
+    origin: usize,
+    request: Result<RequestKind, Error>,
 }
 
 /// A rendered response (newline included) headed back to its connection.
@@ -72,7 +86,7 @@ struct Done {
     response: String,
 }
 
-/// Per-connection state owned by the event thread.
+/// Per-connection state owned by its event loop.
 struct Conn {
     stream: TcpStream,
     /// Raw bytes read but not yet split into lines.
@@ -131,8 +145,12 @@ impl Conn {
                     Ok(n) => {
                         self.inbuf.extend_from_slice(&chunk[..n]);
                         taken += n;
-                        if taken >= READ_BUDGET {
-                            break; // level-triggered: epoll re-notifies
+                        // A short read drained the socket, so skip the
+                        // read that would only say WouldBlock. Either way
+                        // level-triggered epoll re-reports what arrives
+                        // later, EOF included.
+                        if n < chunk.len() || taken >= READ_BUDGET {
+                            break;
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -159,7 +177,7 @@ impl Conn {
             let mut err = String::new();
             write_error_json(
                 &mut err,
-                &pase_core::Error::Protocol(format!("request line exceeds {MAX_LINE} bytes")),
+                &Error::Protocol(format!("request line exceeds {MAX_LINE} bytes")),
             );
             err.push('\n');
             // Answer the violation, drop everything else, close after the
@@ -191,220 +209,390 @@ impl Conn {
     }
 }
 
-/// The event loop. Called from [`crate::Server::run`] with the bound
+/// How many event loops serve connections: one per CPU the process may
+/// use, at most one per worker. A hit answered in place costs its loop a
+/// few microseconds, so a single loop would serialize every active
+/// client's hits on one core.
+fn loop_count(workers: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cpus.min(workers).max(1)
+}
+
+/// What other threads hand one event loop — finished responses from the
+/// workers and, from the accepting loop, newly accepted connections —
+/// each followed by a byte down the loop's [`WakePipe`].
+struct Mailbox {
+    done: Mutex<Vec<Done>>,
+    accepted: Mutex<Vec<TcpStream>>,
+    waker: Waker,
+}
+
+impl Mailbox {
+    fn complete(&self, done: Done) {
+        self.done.lock().expect("completions").push(done);
+        self.waker.wake();
+    }
+
+    fn adopt(&self, stream: TcpStream) {
+        self.accepted.lock().expect("accepted").push(stream);
+        self.waker.wake();
+    }
+}
+
+/// The event front end. Called from [`crate::Server::run`] with the bound
 /// listener; returns the same [`ServeSummary`] as the threaded front end.
+///
+/// Loop 0 runs on the calling thread and owns the listener; it deals
+/// accepted connections round-robin to every loop, itself included. Each
+/// loop then owns its connections for their whole life. The worker pool
+/// is shared, and a job's response goes back to the loop it came from.
 pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
-    let mut reactor = Reactor::new()?;
-    let wake = WakePipe::new()?;
-    reactor.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-    reactor.register(wake.read_fd(), WAKER, Interest::READ)?;
+    let loops = loop_count(shared.cfg.workers);
+    // Every loop's reactor and pipe exist before any loop starts, so a
+    // loop cannot fail to start after connections were dealt to it.
+    let mut reactors = (0..loops)
+        .map(|_| Reactor::new())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let pipes = (0..loops)
+        .map(|_| WakePipe::new())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let mailboxes: Arc<Vec<Mailbox>> = Arc::new(
+        pipes
+            .iter()
+            .map(|pipe| Mailbox {
+                done: Mutex::new(Vec::new()),
+                accepted: Mutex::new(Vec::new()),
+                waker: pipe.waker(),
+            })
+            .collect(),
+    );
 
     let (tx, rx) = mpsc::channel::<Job>();
     let rx = Arc::new(Mutex::new(rx));
-    let completions: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
     let workers: Vec<_> = (0..shared.cfg.workers.max(1))
         .map(|_| {
             let rx = Arc::clone(&rx);
             let shared = Arc::clone(&shared);
-            let completions = Arc::clone(&completions);
-            let waker: Waker = wake.waker();
+            let mailboxes = Arc::clone(&mailboxes);
             std::thread::spawn(move || loop {
                 let job = match rx.lock().expect("worker queue").recv() {
                     Ok(job) => job,
-                    Err(_) => break, // event loop closed the channel
+                    Err(_) => break, // every event loop closed its sender
                 };
                 let mut response = String::new();
-                handle_line(&job.line, &shared, &mut response);
+                handle_request(job.request, &shared, &mut response);
                 response.push('\n');
-                completions.lock().expect("completions").push(Done {
+                mailboxes[job.origin].complete(Done {
                     token: job.token,
                     response,
                 });
-                waker.wake();
             })
         })
         .collect();
 
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN;
-    let mut events = Vec::new();
-    let mut listening = true;
-    let mut wakeups = 0u64;
-    let mut depth = 0u64; // jobs dispatched but not yet completed
-
-    let dispatch = |conn: &mut Conn, token: u64, depth: &mut u64| {
-        if conn.in_flight || conn.closing {
-            return;
-        }
-        if let Some(line) = conn.pending.pop_front() {
-            conn.in_flight = true;
-            *depth += 1;
-            shared.trace.counter("queue_depth", *depth);
-            // A send can only fail if all workers died; the conn is then
-            // torn down by the idle sweep once nothing completes.
-            let _ = tx.send(Job { token, line });
-        }
-    };
-
-    let mut shutdown_at: Option<Instant> = None;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) && listening {
-            // Connections whose handshake completed before shutdown still
-            // get served: drain the backlog once, then stop listening.
-            accept_all(&listener, &reactor, &mut conns, &mut next_token);
-            let _ = reactor.deregister(listener.as_raw_fd());
-            listening = false;
-            shutdown_at = Some(Instant::now());
-        }
-        if let Some(t0) = shutdown_at {
-            if t0.elapsed() >= SHUTDOWN_GRACE {
-                // Grace over: one final read per idle connection (bytes
-                // already in the socket buffer must still be answered),
-                // then close whatever has no work.
-                let idle: Vec<u64> = conns
-                    .iter()
-                    .filter(|(_, c)| c.is_idle())
-                    .map(|(&t, _)| t)
-                    .collect();
-                for token in idle {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    let mut keep = conn.read_ready();
-                    if keep {
-                        dispatch(conn, token, &mut depth);
-                        keep = !conn.is_idle() && settle(conn, token, &reactor);
-                    }
-                    if !keep {
-                        close_conn(&reactor, &mut conns, token);
-                    }
-                }
-            }
-            if conns.is_empty() {
-                break;
-            }
-        }
-
-        events.clear();
-        let n = reactor.wait(TICK, |ev| events.push(ev))?;
-        if n > 0 {
-            wakeups += 1;
-            shared.trace.counter("loop_wakeups", wakeups);
-        }
-
-        for ev in &events {
-            match ev.token {
-                LISTENER => {
-                    if listening {
-                        accept_all(&listener, &reactor, &mut conns, &mut next_token);
-                    }
-                }
-                WAKER => wake.drain(),
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    let mut keep = true;
-                    if ev.readable || ev.hangup {
-                        // A hangup may still have final bytes buffered;
-                        // read_ready picks up both the data and the EOF.
-                        keep = conn.read_ready();
-                    }
-                    if keep && ev.writable {
-                        keep = conn.flush();
-                    }
-                    if keep {
-                        dispatch(conn, token, &mut depth);
-                        keep = settle(conn, token, &reactor);
-                    }
-                    if !keep {
-                        close_conn(&reactor, &mut conns, token);
-                    }
-                }
-            }
-        }
-
-        // Hand completed responses back to their connections.
-        let done: Vec<Done> = std::mem::take(&mut *completions.lock().expect("completions"));
-        for d in done {
-            depth = depth.saturating_sub(1);
-            shared.trace.counter("queue_depth", depth);
-            let Some(conn) = conns.get_mut(&d.token) else {
-                continue; // connection died while its search ran
-            };
-            conn.in_flight = false;
-            conn.out.extend_from_slice(d.response.as_bytes());
-            conn.last_activity = Instant::now();
-            let keep = conn.flush() && {
-                dispatch(conn, d.token, &mut depth);
-                settle(conn, d.token, &reactor)
-            };
-            if !keep {
-                close_conn(&reactor, &mut conns, d.token);
-            }
-        }
-
-        // Idle sweep: a connection with no complete line and no pending
-        // work for idle_timeout is closed — this is what makes slow-loris
-        // and silent keep-alive clients cost nothing but these bytes. A
-        // connection whose peer stopped reading its response is caught by
-        // the same clock (flush progress does not refresh it).
-        let now = Instant::now();
-        let timeout = shared.cfg.idle_timeout;
-        let expired: Vec<u64> = conns
-            .iter()
-            .filter(|(_, c)| {
-                !c.in_flight
-                    && c.pending.is_empty()
-                    && now.duration_since(c.last_activity) >= timeout
+    let accepting = AtomicBool::new(true);
+    let result = std::thread::scope(|scope| {
+        let event_loop = |id: usize| EventLoop {
+            id,
+            shared: &shared,
+            mailboxes: &mailboxes,
+            accepting: &accepting,
+            tx: tx.clone(),
+            scratch: String::new(),
+        };
+        let first_reactor = reactors.remove(0);
+        let others: Vec<_> = reactors
+            .into_iter()
+            .enumerate()
+            .map(|(i, reactor)| {
+                let lp = event_loop(i + 1);
+                let pipe = &pipes[i + 1];
+                scope.spawn(move || lp.run(reactor, None, pipe))
             })
-            .map(|(&t, _)| t)
             .collect();
-        for token in expired {
-            close_conn(&reactor, &mut conns, token);
+        let first = event_loop(0).run(first_reactor, Some(&listener), &pipes[0]);
+        if first.is_err() {
+            // Loop 0 died: stop the others too, they would never see
+            // the listener close.
+            shared.shutdown.store(true, Ordering::SeqCst);
         }
-    }
+        accepting.store(false, Ordering::SeqCst);
+        others
+            .into_iter()
+            .map(|h| h.join().expect("event loop panicked"))
+            .fold(first, |acc, r| acc.and(r))
+    });
 
-    // Joining before `wake` drops keeps every Waker fd-copy valid.
+    // Every loop has dropped its sender: the workers finish their jobs and
+    // exit. Joining before `pipes` drops keeps every Waker fd-copy valid.
     drop(tx);
     for w in workers {
         let _ = w.join();
     }
-    Ok(summarize(&shared))
+    result.map(|()| summarize(&shared))
 }
 
-/// Accept until the backlog is empty, registering each connection
-/// read-only under a fresh token.
-fn accept_all(
-    listener: &TcpListener,
+/// One event loop: what it shares with the other loops and the workers.
+/// Its reactor and connections live on its thread's stack.
+struct EventLoop<'a> {
+    /// This loop's mailbox index, which its jobs carry as their origin.
+    id: usize,
+    shared: &'a Shared,
+    mailboxes: &'a [Mailbox],
+    /// Cleared by loop 0 once it has stopped accepting and dealt out the
+    /// last connection; the other loops start their shutdown grace only
+    /// after that.
+    accepting: &'a AtomicBool,
+    tx: mpsc::Sender<Job>,
+    /// Reused render buffer for the responses answered in place.
+    scratch: String,
+}
+
+impl EventLoop<'_> {
+    /// Serve until shutdown has been requested and every connection is
+    /// drained. `listener` is `Some` for loop 0 only.
+    fn run(
+        mut self,
+        mut reactor: Reactor,
+        listener: Option<&TcpListener>,
+        wake: &WakePipe,
+    ) -> std::io::Result<()> {
+        if let Some(listener) = listener {
+            reactor.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        }
+        reactor.register(wake.read_fd(), WAKER, Interest::READ)?;
+
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut next_token = FIRST_CONN;
+        let mut dealt = 0usize; // loop 0: connections accepted so far
+        let mut events = Vec::new();
+        let mut shutdown_at: Option<Instant> = None;
+        loop {
+            if shutdown_at.is_none() && self.shared.shutdown.load(Ordering::SeqCst) {
+                if let Some(listener) = listener {
+                    // Connections whose handshake completed before
+                    // shutdown still get served: drain the backlog once,
+                    // then stop listening.
+                    self.accept_all(listener, &reactor, &mut conns, &mut next_token, &mut dealt);
+                    let _ = reactor.deregister(listener.as_raw_fd());
+                    self.accepting.store(false, Ordering::SeqCst);
+                }
+                if !self.accepting.load(Ordering::SeqCst) {
+                    shutdown_at = Some(Instant::now());
+                }
+            }
+            if let Some(t0) = shutdown_at {
+                self.adopt_accepted(&reactor, &mut conns, &mut next_token);
+                if t0.elapsed() >= SHUTDOWN_GRACE {
+                    // Grace over: one final read per idle connection
+                    // (bytes already in the socket buffer must still be
+                    // answered), then close whatever has no work.
+                    let idle: Vec<u64> = conns
+                        .iter()
+                        .filter(|(_, c)| c.is_idle())
+                        .map(|(&t, _)| t)
+                        .collect();
+                    for token in idle {
+                        let Some(conn) = conns.get_mut(&token) else {
+                            continue;
+                        };
+                        let keep = conn.read_ready()
+                            && self.advance(conn, token, &reactor)
+                            && !conn.is_idle();
+                        if !keep {
+                            close_conn(&reactor, &mut conns, token);
+                        }
+                    }
+                }
+                if conns.is_empty() {
+                    return Ok(());
+                }
+            }
+
+            events.clear();
+            reactor.wait(TICK, |ev| events.push(ev))?;
+
+            for ev in &events {
+                match ev.token {
+                    LISTENER => {
+                        if let Some(listener) = listener.filter(|_| shutdown_at.is_none()) {
+                            self.accept_all(
+                                listener,
+                                &reactor,
+                                &mut conns,
+                                &mut next_token,
+                                &mut dealt,
+                            );
+                        }
+                    }
+                    WAKER => {
+                        wake.drain();
+                        self.adopt_accepted(&reactor, &mut conns, &mut next_token);
+                    }
+                    token => {
+                        let Some(conn) = conns.get_mut(&token) else {
+                            continue;
+                        };
+                        let mut keep = true;
+                        if ev.readable || ev.hangup {
+                            // A hangup may still have final bytes
+                            // buffered; read_ready picks up both the data
+                            // and the EOF.
+                            keep = conn.read_ready();
+                        }
+                        if keep && ev.writable {
+                            keep = conn.flush();
+                        }
+                        if keep {
+                            keep = self.advance(conn, token, &reactor);
+                        }
+                        if !keep {
+                            close_conn(&reactor, &mut conns, token);
+                        }
+                    }
+                }
+            }
+
+            // Hand completed responses back to their connections.
+            let done: Vec<Done> =
+                std::mem::take(&mut *self.mailboxes[self.id].done.lock().expect("completions"));
+            for d in done {
+                let Some(conn) = conns.get_mut(&d.token) else {
+                    continue; // connection died while its search ran
+                };
+                conn.in_flight = false;
+                conn.out.extend_from_slice(d.response.as_bytes());
+                conn.last_activity = Instant::now();
+                if !self.advance(conn, d.token, &reactor) {
+                    close_conn(&reactor, &mut conns, d.token);
+                }
+            }
+
+            // Idle sweep: a connection with no complete line and no
+            // pending work for idle_timeout is closed — this is what makes
+            // slow-loris and silent keep-alive clients cost nothing but
+            // these bytes. A connection whose peer stopped reading its
+            // response is caught by the same clock (flush progress does
+            // not refresh it).
+            let now = Instant::now();
+            let timeout = self.shared.cfg.idle_timeout;
+            let expired: Vec<u64> = conns
+                .iter()
+                .filter(|(_, c)| {
+                    !c.in_flight
+                        && c.pending.is_empty()
+                        && now.duration_since(c.last_activity) >= timeout
+                })
+                .map(|(&t, _)| t)
+                .collect();
+            for token in expired {
+                close_conn(&reactor, &mut conns, token);
+            }
+        }
+    }
+
+    /// Accept until the backlog is empty, dealing connections round-robin
+    /// over the loops: this loop registers its own share, the others
+    /// adopt theirs from their mailboxes.
+    fn accept_all(
+        &self,
+        listener: &TcpListener,
+        reactor: &Reactor,
+        conns: &mut HashMap<u64, Conn>,
+        next_token: &mut u64,
+        dealt: &mut usize,
+    ) {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    // Request/response lines are tiny; Nagle + delayed ACK
+                    // would add tens of ms to every round trip.
+                    let _ = stream.set_nodelay(true);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let target = *dealt % self.mailboxes.len();
+                    *dealt += 1;
+                    if target == self.id {
+                        register(stream, reactor, conns, next_token);
+                    } else {
+                        self.mailboxes[target].adopt(stream);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Register the connections loop 0 dealt to this loop.
+    fn adopt_accepted(
+        &self,
+        reactor: &Reactor,
+        conns: &mut HashMap<u64, Conn>,
+        next_token: &mut u64,
+    ) {
+        let accepted =
+            std::mem::take(&mut *self.mailboxes[self.id].accepted.lock().expect("accepted"));
+        for stream in accepted {
+            register(stream, reactor, conns, next_token);
+        }
+    }
+
+    /// Hand `conn` its next pending lines in order: answer memory-resident
+    /// hits in place ([`answer_hit`]) and send the first line that needs a
+    /// worker to the pool, where it stays the connection's one job in
+    /// flight.
+    fn dispatch(&mut self, conn: &mut Conn, token: u64) {
+        while !conn.in_flight && !conn.closing {
+            let Some(line) = conn.pending.pop_front() else {
+                return;
+            };
+            let request = RequestKind::parse(&line);
+            if let Ok(RequestKind::Search(req)) = &request {
+                self.scratch.clear();
+                if answer_hit(req, self.shared, &mut self.scratch) {
+                    self.scratch.push('\n');
+                    conn.out.extend_from_slice(self.scratch.as_bytes());
+                    conn.last_activity = Instant::now();
+                    continue;
+                }
+            }
+            conn.in_flight = true;
+            // A send can only fail if all workers died; the conn is then
+            // torn down by the idle sweep once nothing completes.
+            let _ = self.tx.send(Job {
+                token,
+                origin: self.id,
+                request,
+            });
+        }
+    }
+
+    /// Dispatch, flush what that answered, and re-register the fd;
+    /// `false` means close the connection.
+    fn advance(&mut self, conn: &mut Conn, token: u64, reactor: &Reactor) -> bool {
+        self.dispatch(conn, token);
+        conn.flush() && settle(conn, token, reactor)
+    }
+}
+
+/// Register one accepted connection read-only under a fresh token.
+fn register(
+    stream: TcpStream,
     reactor: &Reactor,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
 ) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Request/response lines are tiny; Nagle + delayed ACK
-                // would add tens of ms to every round trip.
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let token = *next_token;
-                *next_token += 1;
-                if reactor
-                    .register(stream.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    continue;
-                }
-                conns.insert(token, Conn::new(stream));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
+    let token = *next_token;
+    *next_token += 1;
+    if reactor
+        .register(stream.as_raw_fd(), token, Interest::READ)
+        .is_ok()
+    {
+        conns.insert(token, Conn::new(stream));
     }
 }
 

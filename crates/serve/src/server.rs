@@ -8,24 +8,36 @@
 //! [`crate::install_sigint`]) stops the accept loop, after which workers
 //! drain buffered and in-flight requests before the pool joins.
 //!
-//! Observability rides on a [`pase_obs::Trace`]: one `"request"` span per
-//! request (latency), plus `requests` / `cache_hits` / `cache_misses` /
-//! `coalesced` counter samples.
+//! Observability is a fixed set of atomics: the `requests` total here and
+//! the hit / miss / coalesced counters of the [`ShardedCache`], all read
+//! lock-free by the `{"stats": true}` wire request. Nothing per request
+//! is retained, so a long-running server's memory stays flat.
+//!
+//! A cache hit costs one parse, one key, one lookup and one serialize:
+//! [`Shared`] memoizes each zoo graph's [`graph_digest`] by the request
+//! fields [`pase_models::build_named`] reads, so a hit derives its key with
+//! [`finish_key`] and never rebuilds or re-hashes the graph. The event
+//! front end answers such hits on its event-loop threads ([`answer_hit`]);
+//! only misses, batches, disk-only entries and coalesced waits reach a
+//! worker.
 //!
 //! The cache sits behind a [`ShardedCache`] — lock-striped stripes plus a
 //! singleflight layer that coalesces concurrent identical queries into one
 //! search (see [`crate::sharded`]); the `{"stats": true}` wire request
 //! exposes its counters.
 
-use crate::cache::{strategy_cache_key, CacheEntry};
+use crate::cache::{finish_key, graph_digest, CacheEntry};
 use crate::protocol::{
     write_batch_close, write_batch_open, write_error_json, write_frontier_response_json,
     write_response_json, write_stats_json, Request, RequestKind,
 };
 use crate::sharded::{Lookup, ShardedCache};
-use pase_core::{cheapest_within, FrontierPoint, Search, SearchOutcome, SearchReport};
+use pase_core::{cheapest_within, Error, FrontierPoint, Search, SearchOutcome, SearchReport};
 use pase_cost::{ConfigRule, PruneOptions};
+use pase_graph::Graph;
+use pase_models::MODEL_NAMES;
 use pase_obs::Trace;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -53,9 +65,10 @@ pub enum FrontEnd {
     /// Thread-per-connection loop: each accepted connection occupies a
     /// worker thread for its whole lifetime. Kept as the A/B baseline.
     Threaded,
-    /// Event-driven epoll readiness loop (linux only): one event thread
-    /// owns every connection's buffers and workers only ever see complete
-    /// request lines, so idle connections cost bytes, not threads.
+    /// Event-driven epoll readiness loops (linux only), one per usable
+    /// CPU: the loops own every connection's buffers and answer
+    /// memory-resident hits themselves, and workers only ever see parsed
+    /// requests, so idle connections cost bytes, not threads.
     Event,
 }
 
@@ -172,9 +185,86 @@ pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) cache: ShardedCache,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) trace: Trace,
     pub(crate) requests: AtomicU64,
     pub(crate) prewarmed: AtomicU64,
+    digests: Mutex<DigestMemo>,
+}
+
+/// Capacity of the graph-digest memo. The zoo's request space is small
+/// (a dozen models × the device counts clients plan for × weak scaling),
+/// so every hot cell fits; a client sweeping `devices` evicts the oldest
+/// digests instead of growing the server.
+const DIGEST_MEMO_CAP: usize = 1024;
+
+/// What [`pase_models::build_named`] reads from a request: the model's
+/// registry name, the device count and weak scaling. Equal ids build
+/// identical graphs, hence identical [`graph_digest`]s.
+type GraphId = (&'static str, u32, bool);
+
+/// Graph digests by [`GraphId`], bounded at [`DIGEST_MEMO_CAP`] with
+/// first-in-first-out eviction. Only successful builds are recorded.
+#[derive(Default)]
+struct DigestMemo {
+    map: HashMap<GraphId, u64>,
+    order: VecDeque<GraphId>,
+}
+
+impl DigestMemo {
+    fn insert(&mut self, id: GraphId, digest: u64) {
+        if self.map.insert(id, digest).is_none() {
+            self.order.push_back(id);
+            if self.order.len() > DIGEST_MEMO_CAP {
+                if let Some(old) = self.order.pop_front() {
+                    self.map.remove(&old);
+                }
+            }
+        }
+    }
+}
+
+/// The memo id of `req`'s graph; `None` for a model outside the zoo
+/// (which [`pase_models::build_named`] then rejects).
+fn graph_id(req: &Request) -> Option<GraphId> {
+    let name = MODEL_NAMES.iter().find(|&&m| m == req.model)?;
+    Some((name, req.devices, req.weak_scaling))
+}
+
+/// `req`'s content key from its graph's digest — bit-identical to
+/// [`crate::strategy_cache_key`] over the built graph.
+fn request_key(digest: u64, req: &Request) -> u64 {
+    finish_key(
+        digest,
+        &ConfigRule::new(req.devices),
+        &req.machine,
+        req.prune.then_some(req.epsilon),
+        req.wants_frontier(),
+    )
+}
+
+impl Shared {
+    /// `req`'s content key if its graph digest is memoized — no graph
+    /// build, no graph hash.
+    pub(crate) fn memoized_key(&self, req: &Request) -> Option<u64> {
+        let id = graph_id(req)?;
+        let digest = *self.digests.lock().expect("digest memo").map.get(&id)?;
+        Some(request_key(digest, req))
+    }
+
+    /// Build `req`'s graph, memoize its digest, and return both the graph
+    /// and the request's content key.
+    fn build_graph(&self, req: &Request) -> Result<(Graph, u64), String> {
+        let graph = pase_models::build_named(&req.model, req.devices, req.weak_scaling)?;
+        let digest = graph_digest(&graph);
+        if let Some(id) = graph_id(req) {
+            self.digests.lock().expect("digest memo").insert(id, digest);
+        }
+        Ok((graph, request_key(digest, req)))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.digests.lock().expect("digest memo").map.len()
+    }
 }
 
 /// A bound planner service. Construct with [`Server::bind`], then call
@@ -209,9 +299,9 @@ impl Server {
                 cfg,
                 cache,
                 shutdown: AtomicBool::new(false),
-                trace: Trace::new(),
                 requests: AtomicU64::new(0),
                 prewarmed: AtomicU64::new(0),
+                digests: Mutex::new(DigestMemo::default()),
             }),
         })
     }
@@ -474,38 +564,38 @@ fn handle_connection(stream: TcpStream, shared: &Shared, out: &mut String) {
     }
 }
 
-/// Answer one request line into `out` (cleared by the caller). A line is
-/// a single search, a `batch` of searches (answered in order as one
-/// response array), or a `stats` probe; each batch element is counted
-/// and spanned as its own request.
+/// Answer one request line into `out` (cleared by the caller).
 pub(crate) fn handle_line(line: &str, shared: &Shared, out: &mut String) {
-    match RequestKind::parse(line) {
+    handle_request(RequestKind::parse(line), shared, out);
+}
+
+/// Answer one parsed request line into `out` (cleared by the caller). A
+/// line is a single search, a `batch` of searches (answered in order as
+/// one response array), or a `stats` probe; each batch element is counted
+/// as its own request.
+pub(crate) fn handle_request(
+    request: Result<RequestKind, Error>,
+    shared: &Shared,
+    out: &mut String,
+) {
+    match request {
         Ok(RequestKind::Batch(reqs)) => {
-            shared.trace.counter("batch_size", reqs.len() as u64);
             write_batch_open(out);
             for (i, req) in reqs.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let mut span = shared.trace.span("request");
-                let n = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
-                shared.trace.counter("requests", n);
-                span.arg("model", req.model.as_str());
+                shared.requests.fetch_add(1, Ordering::SeqCst);
                 answer_search(req, shared, out);
             }
             write_batch_close(out);
         }
         Ok(RequestKind::Search(req)) => {
-            let mut span = shared.trace.span("request");
-            let n = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
-            shared.trace.counter("requests", n);
-            span.arg("model", req.model.as_str());
+            shared.requests.fetch_add(1, Ordering::SeqCst);
             answer_search(&req, shared, out);
         }
         Ok(RequestKind::Stats) => {
-            let _span = shared.trace.span("request");
             let n = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
-            shared.trace.counter("requests", n);
             let counters = shared.cache.counters();
             write_stats_json(
                 out,
@@ -519,11 +609,45 @@ pub(crate) fn handle_line(line: &str, shared: &Shared, out: &mut String) {
             );
         }
         Err(e) => {
-            let _span = shared.trace.span("request");
-            let n = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
-            shared.trace.counter("requests", n);
+            shared.requests.fetch_add(1, Ordering::SeqCst);
             write_error_json(out, &e);
         }
+    }
+}
+
+/// Answer `req` in place if it is a hit that needs neither a graph nor
+/// any I/O: its graph digest is memoized and its entry is resident in
+/// memory. That is one key derivation, one lookup and one serialize,
+/// counted as a request and a cache hit. Returns `false`, having counted
+/// and written nothing, for everything else — misses, disk-only entries,
+/// keys with a search in flight — which the caller hands to a worker.
+pub(crate) fn answer_hit(req: &Request, shared: &Shared, out: &mut String) -> bool {
+    let Some(key) = shared.memoized_key(req) else {
+        return false;
+    };
+    let answered = shared
+        .cache
+        .memory_hit(key, |entry| write_cached(req, key, entry, out))
+        .is_some();
+    if answered {
+        shared.requests.fetch_add(1, Ordering::SeqCst);
+    }
+    answered
+}
+
+/// Render a cache hit for `req` from `entry`.
+fn write_cached(req: &Request, key: u64, entry: &CacheEntry, out: &mut String) {
+    if req.wants_frontier() {
+        write_frontier_from_points(req, key, true, &entry.frontier, &entry.report_json, out);
+    } else {
+        write_response_json(
+            out,
+            key,
+            true,
+            Some(entry.cost),
+            Some(&entry.config_ids),
+            &entry.report_json,
+        );
     }
 }
 
@@ -562,56 +686,38 @@ fn write_frontier_from_points(
 /// search on a miss. Also the prewarm path — zoo entries are filled
 /// through exactly this lookup.
 ///
+/// The key comes from the digest memo when it can; the graph is then
+/// built only if the lookup misses and a search needs it.
+///
 /// Frontier-family requests (`max_memory_bytes` / `frontier`) run the
 /// frontier DP *unconstrained* and cache the whole Pareto set under a key
 /// that excludes the budget; the budget is applied by point selection on
 /// the way out, so follow-up queries with any other budget are cache hits.
 pub(crate) fn answer_search(req: &Request, shared: &Shared, out: &mut String) {
-    let graph = match pase_models::build_named(&req.model, req.devices, req.weak_scaling) {
-        Ok(g) => g,
-        Err(msg) => return write_error_json(out, &pase_core::Error::Protocol(msg)),
+    let (key, built) = match shared.memoized_key(req) {
+        Some(key) => (key, None),
+        None => match shared.build_graph(req) {
+            Ok((graph, key)) => (key, Some(graph)),
+            Err(msg) => return write_error_json(out, &Error::Protocol(msg)),
+        },
     };
-    let rule = ConfigRule::new(req.devices);
-    let wants_frontier = req.wants_frontier();
-    let key = strategy_cache_key(
-        &graph,
-        &rule,
-        &req.machine,
-        req.prune.then_some(req.epsilon),
-        wants_frontier,
-    );
 
     let guard = match shared.cache.lookup(key) {
         Lookup::Hit(entry) | Lookup::Coalesced(entry) => {
-            let counters = shared.cache.counters();
-            shared.trace.counter("cache_hits", counters.hits);
-            shared.trace.counter("coalesced", counters.coalesced);
-            if wants_frontier {
-                return write_frontier_from_points(
-                    req,
-                    key,
-                    true,
-                    &entry.frontier,
-                    &entry.report_json,
-                    out,
-                );
-            }
-            return write_response_json(
-                out,
-                key,
-                true,
-                Some(entry.cost),
-                Some(&entry.config_ids),
-                &entry.report_json,
-            );
+            return write_cached(req, key, &entry, out);
         }
-        Lookup::Miss(guard) => {
-            shared
-                .trace
-                .counter("cache_misses", shared.cache.counters().misses);
-            guard
-        }
+        Lookup::Miss(guard) => guard,
     };
+    // A memoized key skipped the build; the search needs the graph now.
+    let graph = match built {
+        Some(graph) => graph,
+        None => match pase_models::build_named(&req.model, req.devices, req.weak_scaling) {
+            Ok(graph) => graph,
+            Err(msg) => return write_error_json(out, &Error::Protocol(msg)),
+        },
+    };
+    let rule = ConfigRule::new(req.devices);
+    let wants_frontier = req.wants_frontier();
 
     // The effective wall clock is the tightest of the client's budget, the
     // client's explicit deadline, and the server's deadline policy.
@@ -894,6 +1000,40 @@ mod tests {
         assert!(v.get("cost").and_then(|c| c.as_f64()).is_some());
         let summary = join.join().unwrap();
         assert_eq!(summary.requests, 1);
+    }
+
+    #[test]
+    fn graceful_shutdown_drains_requests_on_every_connection() {
+        let (addr, handle, join) = start(ServerConfig::default());
+        query(addr, MLP);
+        // Several connections, so the event front end deals them to more
+        // than one loop: half ask for the warm key (answered in place),
+        // half for fresh ones (answered by a worker).
+        let mut conns: Vec<TcpStream> = (0..6)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        for (i, c) in conns.iter_mut().enumerate() {
+            let line = if i % 2 == 0 {
+                MLP.to_string()
+            } else {
+                mlp_line(1 << i, "")
+            };
+            c.write_all(format!("{line}\n").as_bytes()).unwrap();
+        }
+        handle.shutdown();
+        for (i, c) in conns.into_iter().enumerate() {
+            let mut response = String::new();
+            BufReader::new(c).read_line(&mut response).expect("drained");
+            let v = json::parse(&response).expect("valid JSON");
+            assert_eq!(
+                v.get("cached").and_then(|c| c.as_bool()),
+                Some(i % 2 == 0),
+                "connection {i}"
+            );
+        }
+        let summary = join.join().unwrap();
+        assert_eq!(summary.requests, 7);
+        assert_eq!((summary.cache_hits, summary.cache_misses), (3, 4));
     }
 
     #[test]
@@ -1226,28 +1366,381 @@ mod tests {
         }
     }
 
+    /// Send `lines` on one connection and read one response line each.
+    fn converse(addr: SocketAddr, lines: &[&str]) -> Vec<json::Value> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        lines
+            .iter()
+            .map(|line| {
+                stream.write_all(line.as_bytes()).unwrap();
+                stream.write_all(b"\n").unwrap();
+                let mut response = String::new();
+                reader.read_line(&mut response).expect("response");
+                json::parse(&response).expect("valid response JSON")
+            })
+            .collect()
+    }
+
+    fn stats_field(v: &json::Value, name: &str) -> u64 {
+        v.get("stats")
+            .and_then(|s| s.get(name))
+            .and_then(|x| x.as_u64())
+            .unwrap_or_else(|| panic!("stats.{name}"))
+    }
+
+    fn cache_key_of(v: &json::Value) -> u64 {
+        let hex = v.get("cache_key").and_then(|k| k.as_str()).expect("key");
+        u64::from_str_radix(hex, 16).expect("hex key")
+    }
+
+    fn mlp_line(devices: u32, extra: &str) -> String {
+        format!(
+            "{{\"model\": \"mlp\", \"devices\": {devices}, \"machine\": \"test\", \
+             \"weak_scaling\": false{extra}}}"
+        )
+    }
+
     #[test]
-    fn request_latency_spans_and_counters_are_recorded() {
+    fn stats_counters_match_the_requests_sent() {
+        let (addr, handle, join) = start(ServerConfig::default());
+        let batch = format!(
+            "{{\"batch\": [{MLP}, {}, {}]}}",
+            mlp_line(2, ""),
+            mlp_line(2, ", \"frontier\": true")
+        );
+        let answers = converse(
+            addr,
+            &[
+                MLP,
+                MLP,
+                &batch,
+                "not json",
+                "{\"model\": \"gpt5\"}",
+                &mlp_line(2, ", \"max_memory_bytes\": 1"),
+                "{\"stats\": true}",
+            ],
+        );
+        let stats = answers.last().unwrap();
+        // 2 single searches + 3 batch elements + 2 errors + 1 search + the
+        // probe itself.
+        assert_eq!(stats_field(stats, "requests"), 9);
+        // Searches: MLP (miss), MLP (hit), batch MLP (hit), mlp p2 (miss),
+        // mlp p2 frontier (miss), the budget query (hit on that frontier).
+        assert_eq!(stats_field(stats, "cache_misses"), 3);
+        assert_eq!(stats_field(stats, "cache_hits"), 3);
+        assert_eq!(stats_field(stats, "coalesced"), 0);
+        handle.shutdown();
+        let summary = join.join().unwrap();
+        assert_eq!(summary.requests, 9);
+        assert_eq!(
+            (summary.cache_hits, summary.cache_misses),
+            (3, 3),
+            "{summary:?}"
+        );
+    }
+
+    #[test]
+    fn every_search_element_is_exactly_one_hit_miss_or_coalesced() {
+        let (addr, handle, join) = start(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        // Four clients race overlapping keys, singly and in batches.
+        let clients: Vec<_> = (0..4u32)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let single = mlp_line(1 + c % 2, "");
+                    let batch = format!(
+                        "{{\"batch\": [{}, {}, {MLP}]}}",
+                        mlp_line(2, ""),
+                        mlp_line(1 + c % 3, ", \"frontier\": true")
+                    );
+                    let lines = [single.as_str(), MLP, &batch, &single];
+                    converse(addr, &lines).len()
+                })
+            })
+            .collect();
+        for c in clients {
+            assert_eq!(c.join().unwrap(), 4);
+        }
+        let stats = query(addr, "{\"stats\": true}");
+        let searches = 4 * (1 + 1 + 3 + 1);
+        assert_eq!(stats_field(&stats, "requests"), searches + 1);
+        assert_eq!(
+            stats_field(&stats, "cache_hits")
+                + stats_field(&stats, "cache_misses")
+                + stats_field(&stats, "coalesced"),
+            searches
+        );
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// A server persisting to a fresh cache directory, plus its shared
+    /// state so a test can slow the persistence down.
+    fn start_persisting(
+        tag: &str,
+        workers: usize,
+    ) -> (
+        SocketAddr,
+        ShutdownHandle,
+        std::thread::JoinHandle<ServeSummary>,
+        Arc<Shared>,
+        PathBuf,
+    ) {
+        let dir = std::env::temp_dir().join(format!("pase-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::bind(ServerConfig {
+            workers,
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = server.shutdown_handle();
+        let shared = Arc::clone(&server.shared);
+        let join = std::thread::spawn(move || server.run().expect("run"));
+        (addr, handle, join, shared, dir)
+    }
+
+    /// Slow every later cache fill down to `delay` in its disk write, and
+    /// wait until a miss sent after this call holds its worker there (its
+    /// entry is already in memory, its response not yet sent).
+    fn hold_next_miss(shared: &Shared, delay: Duration) -> impl Fn() + '_ {
+        shared.cache.set_disk_write_delay_for_tests(delay);
+        let entries = shared.cache.len();
+        move || {
+            let t0 = std::time::Instant::now();
+            while shared.cache.len() == entries {
+                assert!(t0.elapsed() < Duration::from_secs(60), "miss never ran");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_miss_hit_hit_are_answered_in_request_order() {
+        let (addr, handle, join, shared, dir) = start_persisting("order", 2);
+        // Warm the hit key: its entry and its graph digest.
+        let warm = query(addr, MLP);
+        let wait_for_miss = hold_next_miss(&shared, Duration::from_millis(300));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(format!("{}\n", mlp_line(16, "")).as_bytes())
+            .unwrap();
+        wait_for_miss();
+        // Two hits arrive while the miss is in flight. The loop could
+        // answer them at once; they must wait their turn.
+        stream
+            .write_all(format!("{MLP}\n{MLP}\n").as_bytes())
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let answers: Vec<json::Value> = (0..3)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("response");
+                json::parse(&line).expect("valid JSON")
+            })
+            .collect();
+        let cached: Vec<Option<bool>> = answers
+            .iter()
+            .map(|v| v.get("cached").and_then(|c| c.as_bool()))
+            .collect();
+        assert_eq!(cached, [Some(false), Some(true), Some(true)]);
+        assert_ne!(answers[0].get("cache_key"), warm.get("cache_key"));
+        assert_eq!(answers[1].get("cache_key"), warm.get("cache_key"));
+        assert_eq!(answers[2].get("strategy"), warm.get("strategy"));
+        handle.shutdown();
+        let summary = join.join().unwrap();
+        assert_eq!((summary.cache_hits, summary.cache_misses), (2, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_hit_is_answered_while_the_only_worker_is_busy() {
+        let (addr, handle, join, shared, dir) = start_persisting("busy", 1);
+        let warm = query(addr, MLP);
+        // The only worker sleeps for seconds in the next miss's disk
+        // write; a hit on another connection must not wait for it.
+        let wait_for_miss = hold_next_miss(&shared, Duration::from_secs(3));
+        let mut slow = TcpStream::connect(addr).expect("connect");
+        slow.write_all(format!("{}\n", mlp_line(2, "")).as_bytes())
+            .unwrap();
+        wait_for_miss();
+        let hit = query(addr, MLP);
+        assert_eq!(hit.get("cached").and_then(|c| c.as_bool()), Some(true));
+        assert_eq!(hit.get("strategy"), warm.get("strategy"));
+        slow.set_nonblocking(true).unwrap();
+        let mut byte = [0u8; 1];
+        let pending = matches!(
+            (&slow).read(&mut byte),
+            Err(e) if e.kind() == ErrorKind::WouldBlock
+        );
+        assert!(pending, "the miss finished before the hit was answered");
+        slow.set_nonblocking(false).unwrap();
+        let mut reader = BufReader::new(slow);
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("miss response");
+        let miss = json::parse(&response).expect("valid JSON");
+        assert_eq!(miss.get("cached").and_then(|c| c.as_bool()), Some(false));
+        handle.shutdown();
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_only_on_disk_is_served_by_a_worker_and_counted_once() {
+        let dir = std::env::temp_dir().join(format!("pase-serve-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig {
+            cache_dir: Some(dir.clone()),
+            ..ServerConfig::default()
+        };
+        let (addr, handle, join) = start(cfg.clone());
+        let first = query(addr, MLP);
+        handle.shutdown();
+        join.join().unwrap();
+
+        // A fresh server: the entry is on disk only. A different search
+        // over the same graph memoizes the digest, so the second line's
+        // key is known without a build — but it must still not be
+        // answered from memory (nothing is there), read disk on the event
+        // thread, or be counted twice.
+        let (addr, handle, join) = start(cfg);
+        let answers = converse(
+            addr,
+            &[
+                &mlp_line(4, ", \"prune\": true, \"epsilon\": 0.5"),
+                MLP,
+                "{\"stats\": true}",
+            ],
+        );
+        assert_eq!(
+            answers[1].get("cached").and_then(|c| c.as_bool()),
+            Some(true)
+        );
+        assert_eq!(answers[1].get("strategy"), first.get("strategy"));
+        assert_eq!(answers[1].get("cache_key"), first.get("cache_key"));
+        assert_eq!(stats_field(&answers[2], "cache_hits"), 1);
+        assert_eq!(stats_field(&answers[2], "cache_misses"), 1);
+        assert_eq!(stats_field(&answers[2], "requests"), 3);
+        handle.shutdown();
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memoized_keys_equal_keys_over_the_built_graph() {
+        use crate::cache::strategy_cache_key;
+        use pase_cost::{DeviceMesh, MachineSpec};
+        let server = Server::bind(ServerConfig::default()).expect("bind");
+        let shared = &server.shared;
+        let flat = DeviceMesh::flat(&MachineSpec::gtx1080ti());
+        let tiered = DeviceMesh::cluster(&MachineSpec::gtx1080ti(), 8, 4);
+        let mut checked = 0;
+        for model in MODEL_NAMES {
+            for devices in [1u32, 8, 32, 64] {
+                for weak_scaling in [false, true] {
+                    let graph = pase_models::build_named(model, devices, weak_scaling).unwrap();
+                    for machine in [&flat, &tiered] {
+                        for epsilon in [None, Some(0.0), Some(0.05)] {
+                            for frontier in [false, true] {
+                                let req = Request {
+                                    model: model.to_string(),
+                                    devices,
+                                    machine: machine.clone(),
+                                    weak_scaling,
+                                    prune: epsilon.is_some(),
+                                    epsilon: epsilon.unwrap_or(0.0),
+                                    prune_gate: Default::default(),
+                                    budget: Default::default(),
+                                    deadline: None,
+                                    max_memory_bytes: None,
+                                    frontier,
+                                };
+                                let expect = strategy_cache_key(
+                                    &graph,
+                                    &ConfigRule::new(devices),
+                                    machine,
+                                    epsilon,
+                                    frontier,
+                                );
+                                if shared.memoized_key(&req).is_none() {
+                                    let (_, built) = shared.build_graph(&req).unwrap();
+                                    assert_eq!(built, expect, "{model} p{devices}");
+                                }
+                                assert_eq!(
+                                    shared.memoized_key(&req),
+                                    Some(expect),
+                                    "{model} p{devices} weak={weak_scaling} \
+                                     {epsilon:?} frontier={frontier}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, MODEL_NAMES.len() * 4 * 2 * 2 * 3 * 2);
+    }
+
+    #[test]
+    fn a_device_sweep_keeps_the_digest_memo_bounded() {
         let server = Server::bind(ServerConfig::default()).expect("bind");
         let addr = server.local_addr().expect("addr");
         let handle = server.shutdown_handle();
         let shared = Arc::clone(&server.shared);
         let join = std::thread::spawn(move || server.run().expect("run"));
-        query(addr, MLP);
-        query(addr, MLP);
+        // More distinct graphs than the memo holds, spread over
+        // 1..=100000 devices. A zero deadline keeps each miss's search
+        // short; the key in every answer must still be the built graph's.
+        let sweep: Vec<u32> = (0..DIGEST_MEMO_CAP as u32 + 200)
+            .map(|i| 1 + i * 81)
+            .chain([100_000])
+            .collect();
+        for chunk in sweep.chunks(crate::protocol::MAX_BATCH) {
+            let elements: Vec<String> = chunk
+                .iter()
+                .map(|&d| mlp_line(d, ", \"deadline_ms\": 0"))
+                .collect();
+            let v = query(addr, &format!("{{\"batch\": [{}]}}", elements.join(",")));
+            let answers = v.get("batch").and_then(|b| b.as_array()).expect("batch");
+            assert_eq!(answers.len(), chunk.len());
+            for (&d, a) in chunk.iter().zip(answers) {
+                let graph = pase_models::build_named("mlp", d, false).unwrap();
+                let mesh = pase_cost::DeviceMesh::flat(&pase_cost::MachineSpec::test_machine());
+                let expect = crate::cache::strategy_cache_key(
+                    &graph,
+                    &ConfigRule::new(d),
+                    &mesh,
+                    None,
+                    false,
+                );
+                assert_eq!(cache_key_of(a), expect, "devices {d}");
+            }
+            assert!(
+                shared.memo_len() <= DIGEST_MEMO_CAP,
+                "{}",
+                shared.memo_len()
+            );
+        }
+        assert_eq!(shared.memo_len(), DIGEST_MEMO_CAP);
+        // The first sweep value was evicted, the last is memoized; both
+        // are answered with a real search, then a hit.
+        for d in [sweep[0], *sweep.last().unwrap()] {
+            let line = mlp_line(d, "");
+            let answers = converse(addr, &[&line, &line]);
+            assert!(answers[0].get("cost").and_then(|c| c.as_f64()).is_some());
+            assert_eq!(
+                answers[1].get("cached").and_then(|c| c.as_bool()),
+                Some(true)
+            );
+            assert_eq!(answers[0].get("strategy"), answers[1].get("strategy"));
+        }
         handle.shutdown();
         join.join().unwrap();
-        let spans = shared.trace.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "request").count(), 2);
-        let counters = shared.trace.counters();
-        assert!(counters
-            .iter()
-            .any(|c| c.name == "requests" && c.value == 2));
-        assert!(counters
-            .iter()
-            .any(|c| c.name == "cache_hits" && c.value == 1));
-        assert!(counters
-            .iter()
-            .any(|c| c.name == "cache_misses" && c.value == 1));
     }
 }

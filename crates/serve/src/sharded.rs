@@ -240,8 +240,23 @@ impl ShardedCache {
         }
     }
 
+    /// Answer `key` from a stripe's memory alone: on a resident entry,
+    /// refresh its LRU recency, count a hit and return `answer(entry)`,
+    /// run under the stripe lock so the entry is never cloned. Returns
+    /// `None`, counting nothing, when the entry is not in memory. Never
+    /// reads the disk directory, registers a flight or waits on one, so it
+    /// is safe on an event-loop thread; whatever it declines goes through
+    /// [`ShardedCache::lookup`].
+    pub fn memory_hit<R>(&self, key: u64, answer: impl FnOnce(&CacheEntry) -> R) -> Option<R> {
+        let mut cache = self.shard(key).cache.lock().expect("shard cache");
+        let r = answer(cache.probe_memory(key)?);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(r)
+    }
+
     /// Snapshot of the lookup counters. `hits + misses + coalesced` equals
-    /// the number of completed [`ShardedCache::lookup`] calls.
+    /// the number of completed [`ShardedCache::lookup`] and successful
+    /// [`ShardedCache::memory_hit`] calls.
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
@@ -395,6 +410,33 @@ mod tests {
         // Three same-size entries exceed the 2.5-entry budget: one evicted.
         assert_eq!(c.len(), 2, "byte budget evicted despite 64 free slots");
         assert_eq!(c.bytes(), 2 * entry("a").approx_bytes());
+    }
+
+    #[test]
+    fn memory_hits_count_once_and_never_touch_disk_or_flights() {
+        let dir = std::env::temp_dir().join(format!("pase-memory-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // An entry that exists only on disk, written by another cache.
+        let writer = ShardedCache::new(1, 4, Some(dir.clone()), true);
+        match writer.lookup(7) {
+            Lookup::Miss(g) => g.fulfill(entry("disk")).unwrap(),
+            _ => panic!("fresh cache must miss"),
+        }
+        let c = ShardedCache::new(1, 4, Some(dir.clone()), true);
+        assert_eq!(c.memory_hit(7, |e| e.model.clone()), None, "disk-only");
+        assert!(c.is_empty(), "a memory hit must not promote from disk");
+        // A key with a search in flight is declined at once, not awaited.
+        let guard = match c.lookup(9) {
+            Lookup::Miss(g) => g,
+            _ => panic!("fresh key must miss"),
+        };
+        assert_eq!(c.memory_hit(9, |_| ()), None, "in flight");
+        guard.fulfill(entry("mem")).unwrap();
+        assert_eq!(c.memory_hit(9, |e| e.model.clone()), Some("mem".into()));
+        let counters = c.counters();
+        // Misses: the in-flight leader only; declined probes count nothing.
+        assert_eq!((counters.hits, counters.misses), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
