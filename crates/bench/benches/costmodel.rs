@@ -18,7 +18,7 @@ fn bench_enumerate(c: &mut Criterion) {
         .find(|n| n.name.contains("b3x3b") && n.name.ends_with("conv"))
         .expect("conv node");
     for p in [8u32, 64] {
-        c.bench_function(&format!("enumerate_configs/conv/p{p}"), |b| {
+        c.bench_function(format!("enumerate_configs/conv/p{p}"), |b| {
             b.iter(|| enumerate_configs(conv, &ConfigRule::new(p)))
         });
     }

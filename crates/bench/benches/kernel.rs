@@ -30,11 +30,11 @@ fn bench_min_add(c: &mut Criterion) {
         let r1 = test_row(k, 1);
         let r2 = test_row(k, 2);
         let rows = [r1.as_slice(), r2.as_slice()];
-        c.bench_function(&format!("min_add/scalar/k{k}"), |b| {
+        c.bench_function(format!("min_add/scalar/k{k}"), |b| {
             b.iter(|| scalar_min_add(black_box(&base), black_box(&rows)))
         });
         let mut acc = vec![0.0; k];
-        c.bench_function(&format!("min_add/packed/k{k}"), |b| {
+        c.bench_function(format!("min_add/packed/k{k}"), |b| {
             b.iter(|| packed_min_add(black_box(&mut acc), black_box(&base), black_box(&rows)))
         });
     }
@@ -47,10 +47,10 @@ fn bench_fused_single_op(c: &mut Criterion) {
     for k in WIDTHS {
         let pre = test_row(k, 0);
         let row = test_row(k, 1);
-        c.bench_function(&format!("sum_row_min/k{k}"), |b| {
+        c.bench_function(format!("sum_row_min/k{k}"), |b| {
             b.iter(|| sum_row_min(black_box(&pre), black_box(&row)))
         });
-        c.bench_function(&format!("row_min/k{k}"), |b| {
+        c.bench_function(format!("row_min/k{k}"), |b| {
             b.iter(|| row_min(black_box(&pre)))
         });
     }
@@ -63,10 +63,10 @@ fn bench_accumulate(c: &mut Criterion) {
     for k in WIDTHS {
         let src = test_row(k * k, 1);
         let mut acc = test_row(k, 0);
-        c.bench_function(&format!("add_rows/k{k}"), |b| {
+        c.bench_function(format!("add_rows/k{k}"), |b| {
             b.iter(|| add_rows(black_box(&mut acc), black_box(&src[..k])))
         });
-        c.bench_function(&format!("add_strided/k{k}"), |b| {
+        c.bench_function(format!("add_strided/k{k}"), |b| {
             b.iter(|| add_strided(black_box(&mut acc), black_box(&src), black_box(k)))
         });
     }

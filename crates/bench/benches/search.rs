@@ -55,8 +55,11 @@ fn bench_find_best_strategy(c: &mut Criterion) {
     }
     group.finish();
 
-    // A/B baseline: the same DP with the wavefront scheduler disabled
-    // (strict sequential fill in position order).
+    // A/B baseline: the same DP on a 1-thread rayon pool.
+    let single = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
     let mut group = c.benchmark_group("find_best_strategy_sequential");
     group.sample_size(10);
     for bench in Benchmark::all() {
@@ -66,7 +69,7 @@ fn bench_find_best_strategy(c: &mut Criterion) {
         group.bench_function(format!("{}/p{}", bench.name(), p), |b| {
             b.iter_batched(
                 || (),
-                |_| Search::new(&g).tables(&tables).parallel(false).run(),
+                |_| single.install(|| Search::new(&g).tables(&tables).run()),
                 BatchSize::PerIteration,
             )
         });

@@ -15,7 +15,7 @@ fn bench_simulate_step(c: &mut Criterion) {
     for bench in Benchmark::all() {
         let g = bench.build_for(32);
         let s = data_parallel(&g, 32);
-        c.bench_function(&format!("simulate_step/{}/dp32", bench.name()), |b| {
+        c.bench_function(format!("simulate_step/{}/dp32", bench.name()), |b| {
             b.iter(|| simulate_step(&g, &s, &topo, &SimOptions::default()))
         });
     }

@@ -15,16 +15,16 @@
 //!   but the pruned tables shrink every dependent-set table
 //!   multiplicatively);
 //! * the DP table fill alone, single-threaded: the scalar reference loop
-//!   ([`reference::scalar_search`]) vs the tiled kernel
-//!   (`dp_fill_scalar_s` / `dp_fill_tiled_s` — the sequential-fill span of
-//!   a traced single-threaded run, so scheduling noise is excluded and the
-//!   loops are compared core-for-core). The tiled kernel's speedup on the
-//!   two biggest cells is asserted, and both must agree on the optimum
-//!   bit-for-bit;
+//!   ([`reference::scalar_search`], its sequential-fill span) vs the tiled
+//!   kernel (the sum of the wavefront spans of a traced run on a 1-thread
+//!   rayon pool), as `dp_fill_scalar_s` / `dp_fill_tiled_s` — scheduling
+//!   noise is excluded and the loops are compared core-for-core. The
+//!   tiled kernel's speedup on the two biggest cells is asserted, and both
+//!   must agree on the optimum bit-for-bit;
 //! * the Pareto-frontier DP fill, the incremental reference loop
 //!   ([`reference::frontier`]) vs the run-blocked microkernel
-//!   (`dp_fill_frontier_s` / `dp_fill_frontier_tiled_s`, same
-//!   single-threaded span). Every cell asserts the min-time point of both
+//!   (`dp_fill_frontier_s` / `dp_fill_frontier_tiled_s`, the same
+//!   single-threaded spans). Every cell asserts the min-time point of both
 //!   frontiers is bit-identical to the scalar optimum, and the microkernel
 //!   must be ≥5× faster than the incremental fill on the two biggest
 //!   cells; the traced microkernel run's `SearchReport` is emitted per
@@ -87,6 +87,10 @@ fn main() {
         ..TableOptions::default()
     };
     let optimized_tables = TableOptions::default();
+    let single_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
 
     let mut json = String::from("{\n  \"models\": {\n");
     // How many cells the two-tier cluster mesh moved away from the flat
@@ -96,7 +100,7 @@ fn main() {
     let mut mesh_moved_strategy = 0usize;
     let all = Benchmark::all();
     for (i, bench) in all.iter().enumerate() {
-        let _ = write!(json, "    \"{}\": {{\n", bench.name());
+        let _ = writeln!(json, "    \"{}\": {{", bench.name());
         for (pi, &p) in PS.iter().enumerate() {
             let samples = samples_for(p);
             let g = bench.build_for(p);
@@ -120,15 +124,16 @@ fn main() {
             let search_pruned =
                 median_secs(samples, || Search::new(&g).tables(pruned.tables()).run());
 
-            // Kernel A/B: the sequential-fill span of a single-threaded
-            // traced run isolates the table-fill inner loop from rayon
-            // scheduling, so the scalar reference loop vs the tiled kernel
-            // is a core-for-core comparison. The big p=64 cells are slow
-            // single-threaded — keep samples low.
+            // Kernel A/B: the fill spans of a single-threaded traced run
+            // (the oracle's sequential-fill span, the production driver's
+            // wavefront spans on a 1-thread pool) isolate the table-fill
+            // inner loop from rayon scheduling, so the scalar reference
+            // loop vs the tiled kernel is a core-for-core comparison. The
+            // big p=64 cells are slow single-threaded — keep samples low.
             let fill_samples = samples.min(3);
             let fill_span = |trace: &Trace| {
                 trace
-                    .span_time_where(|n| n == phase::SEQUENTIAL_FILL)
+                    .span_time_where(|n| n == phase::SEQUENTIAL_FILL || phase::is_wavefront(n))
                     .as_secs_f64()
             };
             let mut scalar_cost = f64::NAN;
@@ -140,13 +145,14 @@ fn main() {
             let mut tiled_cost = f64::NAN;
             let fill_tiled = median_of(fill_samples, || {
                 let trace = Trace::new();
-                tiled_cost = Search::new(&g)
-                    .tables(&tables)
-                    .parallel(false)
-                    .trace(&trace)
-                    .run()
-                    .expect_found(bench.name())
-                    .cost;
+                tiled_cost = single_thread.install(|| {
+                    Search::new(&g)
+                        .tables(&tables)
+                        .trace(&trace)
+                        .run()
+                        .expect_found(bench.name())
+                        .cost
+                });
                 fill_span(&trace)
             });
             assert_eq!(
@@ -165,8 +171,8 @@ fn main() {
                 );
             }
 
-            // Frontier A/B: the same single-threaded sequential-fill span
-            // with the Pareto DP on, once through the incremental reference
+            // Frontier A/B: the same single-threaded fill spans with the
+            // Pareto DP on, once through the incremental reference
             // loop and once through the run-blocked microkernel. One sample
             // each — the big cells are slow single-threaded under the
             // incremental loop. Both frontiers' min-time point must stay
@@ -177,20 +183,27 @@ fn main() {
             let incremental = reference::frontier(&g, &tables, FRONTIER_WIDTH, Some(&trace));
             let dp_fill_frontier_s = fill_span(&trace);
             let trace = Trace::new();
-            let outcome = Search::new(&g)
-                .tables(&tables)
-                .parallel(false)
-                .frontier_width(FRONTIER_WIDTH)
-                .trace(&trace)
-                .frontier()
-                .run()
-                .into_outcome();
+            let outcome = single_thread.install(|| {
+                Search::new(&g)
+                    .tables(&tables)
+                    .frontier_width(FRONTIER_WIDTH)
+                    .trace(&trace)
+                    .frontier()
+                    .run()
+                    .into_outcome()
+            });
             let dp_fill_frontier_tiled_s = fill_span(&trace);
             let frontier_report = SearchReport::new(bench.name(), p, &outcome, Some(&trace));
             assert_eq!(frontier_report.stats.dp_kernel, "frontier-tiled");
             for (engine, cost) in [
                 ("incremental", incremental.min_time().cost),
-                ("tiled", outcome.found().expect(bench.name()).cost),
+                (
+                    "tiled",
+                    outcome
+                        .found()
+                        .unwrap_or_else(|| panic!("{}", bench.name()))
+                        .cost,
+                ),
             ] {
                 assert_eq!(
                     cost.to_bits(),
@@ -226,7 +239,10 @@ fn main() {
                 .trace(&trace)
                 .run()
                 .into_outcome();
-            let pruned_cost = pruned_outcome.found().expect(bench.name()).cost;
+            let pruned_cost = pruned_outcome
+                .found()
+                .unwrap_or_else(|| panic!("{}", bench.name()))
+                .cost;
             assert_eq!(
                 plain_cost.to_bits(),
                 pruned_cost.to_bits(),
@@ -344,7 +360,7 @@ fn main() {
                 if pi + 1 < PS.len() { "," } else { "" }
             );
         }
-        let _ = write!(json, "    }}{}\n", if i + 1 < all.len() { "," } else { "" });
+        let _ = writeln!(json, "    }}{}", if i + 1 < all.len() { "," } else { "" });
     }
     assert!(
         mesh_diverged >= 1,

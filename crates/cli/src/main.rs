@@ -164,7 +164,7 @@ struct SearchKnobs {
 impl SearchKnobs {
     fn from_args(args: &Args) -> Result<Self, String> {
         let prune_epsilon: f64 = args.get_or("prune-epsilon", 0.0)?;
-        if !(prune_epsilon >= 0.0) {
+        if prune_epsilon.is_nan() || prune_epsilon < 0.0 {
             return Err(format!("--prune-epsilon must be ≥ 0, got {prune_epsilon}"));
         }
         let gate = match args.get("prune-gate") {

@@ -181,6 +181,16 @@ pub enum SearchOutcome {
 }
 
 impl SearchOutcome {
+    /// The stats of whichever variant this is.
+    pub(crate) fn stats_mut(&mut self) -> &mut SearchStats {
+        match self {
+            SearchOutcome::Found(r) => &mut r.stats,
+            SearchOutcome::Oom { stats, .. }
+            | SearchOutcome::Timeout { stats }
+            | SearchOutcome::Infeasible { stats, .. } => stats,
+        }
+    }
+
     /// The result if the search completed.
     pub fn found(&self) -> Option<&SearchResult> {
         match self {

@@ -20,46 +20,48 @@
 //!   or a member of `D(i)` (see the containment argument in the module
 //!   tests), so the child index is `Σ_t A_t · digit_t + B · C` with
 //!   precomputed coefficients.
-//! * Tables are filled **wavefront-parallel**: the table at position `i`
-//!   reads exactly the tables at `subset_anchors(i)`, so the positions form
-//!   a DAG whose levels ([`VertexStructure::wavefronts`]) can each be
-//!   filled concurrently — parallelism across *tables*, not just across
-//!   one table's entries. Within a wave, every table is cut into fixed-size
-//!   entry chunks and the chunks of all tables share one work queue, so a
-//!   wave with one huge and many tiny tables still balances. Budget
-//!   accounting runs sequentially in position order first (table sizes are
+//! * One driver, [`drive`], fills the tables for every DP value
+//!   ([`DpValue`]): the min-plus `f64` of [`MinTime`] here, or the Pareto
+//!   set of `crate::frontier` — TensorOpt's generalization of the same
+//!   recurrence. Tables are filled **wavefront-parallel**: the table at
+//!   position `i` reads exactly the tables at `subset_anchors(i)`, so the
+//!   positions form a DAG whose levels ([`VertexStructure::wavefronts`])
+//!   can each be filled concurrently — parallelism across *tables*, not
+//!   just across one table's entries. Within a wave, every table is cut
+//!   into fixed-size entry chunks and the chunks of all tables share one
+//!   work queue, so a wave with one huge and many tiny tables still
+//!   balances. Without parallel workers (a 1-thread rayon pool) or with
+//!   less than one chunk of work, the same wave is filled inline, one
+//!   table at a time. Entries are computed independently, so the result
+//!   is bit-identical at any thread count. Budget accounting runs
+//!   sequentially in position order first (table sizes are
 //!   content-independent), preserving the exact OOM/timeout semantics of a
 //!   sequential fill.
-//! * Each chunk is filled by the packed, run-blocked min-plus microkernel
-//!   of [`crate::kernel`]: it decodes its first substrategy index once,
-//!   then walks the mixed-radix odometer **incrementally**, one
-//!   innermost-digit run at a time. Costs and choices are written straight
-//!   into the table's final arrays. The per-entry scalar loop it replaced
-//!   survives only as the test oracle [`crate::reference::scalar_search`].
+//! * Each scalar chunk is filled by the packed, run-blocked min-plus
+//!   microkernel of [`crate::kernel`]: it decodes its first substrategy
+//!   index once, then walks the mixed-radix odometer **incrementally**,
+//!   one innermost-digit run at a time. Costs and choices are written
+//!   straight into the table's final arrays. The per-entry scalar loop it
+//!   replaced survives only as the test oracle
+//!   [`crate::reference::scalar_search`].
 //! * Budgets are enforced *before* each allocation (`Oom`) and per chunk of
 //!   work (`Timeout`), reproducing Table I's failure modes without actually
-//!   exhausting the machine.
+//!   exhausting the machine. Values whose size depends on table contents
+//!   (Pareto sets) are also checked against the byte cap after each wave.
 
 use crate::budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
-use crate::kernel;
+use crate::kernel::{self, PackedVertex};
 use crate::ordering::{make_ordering, OrderingKind};
-use crate::pool;
+use crate::pool::{free_list, Poolable, Pooled, Scratch, MAX_POOLED_ENTRIES};
+use crate::search::Filled;
 use crate::structure::{ConnectedSetMode, VertexStructure};
 use pase_cost::CostTables;
 use pase_graph::{EdgeId, Graph, GraphError, NodeId};
 use pase_obs::{phase, span_in, OptSpan, Trace};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Entries per work chunk: the granularity of parallel scheduling and of
-/// deadline checks.
-const CHUNK: usize = 4096;
-
-/// The `stats.dp_kernel` tag of the scalar engine: the tiled min-plus
-/// microkernel of [`crate::kernel`].
-pub(crate) const ENGINE: &str = "tiled";
 
 /// Options for the DP engine, assembled by [`crate::Search`] from its
 /// builder knobs.
@@ -72,9 +74,6 @@ pub(crate) struct DpOptions {
     pub(crate) mode: ConnectedSetMode,
     /// Resource limits.
     pub(crate) budget: SearchBudget,
-    /// Fill tables wavefront-parallel with rayon; `false` fills strictly
-    /// sequentially in position order (bit-identical results either way).
-    pub(crate) parallel: bool,
     /// Frontier searches only: maximum points kept per DP state (see
     /// [`crate::Search::frontier_width`]).
     pub(crate) frontier_width: usize,
@@ -89,36 +88,34 @@ impl Default for DpOptions {
             ordering: OrderingKind::GenerateSeq,
             mode: ConnectedSetMode::Exact,
             budget: SearchBudget::default(),
-            parallel: true,
             frontier_width: DEFAULT_FRONTIER_WIDTH,
         }
     }
 }
 
 /// One DP table: `R_V(i, ·)` and the argmin configurations over the dense
-/// substrategy space of `D(i)`.
+/// substrategy space of `D(i)`, indexed as its position's [`Plan`] lays
+/// the space out.
+#[derive(Default)]
 pub(crate) struct Table {
-    /// `D(i)`, sorted by node id (canonical digit order).
-    dep: Vec<NodeId>,
-    /// Mixed-radix strides per digit (row-major, last digit contiguous).
-    strides: Vec<u64>,
     /// `R_V(i, φ)` per flat index.
     pub(crate) costs: Vec<f64>,
     /// Argmin configuration id of `v^(i)` per flat index.
-    choice: Vec<u16>,
+    pub(crate) choice: Vec<u16>,
 }
 
 impl Table {
-    /// Install a filled `(costs, choice)` pair as `plan`'s table.
-    pub(crate) fn new(plan: &Plan, costs: Vec<f64>, choice: Vec<u16>) -> Self {
-        Self {
-            dep: plan.dep.clone(),
-            strides: plan.strides.clone(),
-            costs,
-            choice,
-        }
+    /// Take a pooled table for `plan`, zero-filled: content-identical to
+    /// fresh `vec![0; size]` buffers.
+    pub(crate) fn take(plan: &Plan) -> Pooled<Table> {
+        let mut t = Pooled::<Table>::take();
+        t.costs.resize(plan.size as usize, 0.0);
+        t.choice.resize(plan.size as usize, 0);
+        t
     }
+}
 
+impl Plan {
     /// Flat index of the substrategy selecting `assignment`'s configuration
     /// for every vertex of `dep`. Both `dep` and `assignment` are sorted by
     /// node id and `assignment ⊇ dep`, so one merge walk suffices.
@@ -136,6 +133,17 @@ impl Table {
             idx += self.strides[t] * u64::from(cfg);
         }
         idx as usize
+    }
+}
+
+impl Poolable for Table {
+    free_list!(Table);
+    fn reset(&mut self) {
+        self.costs.clear();
+        self.choice.clear();
+    }
+    fn shed(&mut self) -> bool {
+        self.costs.capacity() <= MAX_POOLED_ENTRIES
     }
 }
 
@@ -162,21 +170,12 @@ pub(crate) struct ChildCoef {
     pub(crate) vi_coef: u64,
 }
 
-/// One unit of fill work: a contiguous entry range of one table, with the
-/// output slices it writes.
+/// One unit of scalar fill work: a contiguous entry range of one table,
+/// starting at entry `start`, with the output slices it writes.
 pub(crate) struct FillChunk<'a> {
-    pub(crate) plan_idx: usize,
     pub(crate) start: u64,
     pub(crate) costs: &'a mut [f64],
     pub(crate) choice: &'a mut [u16],
-}
-
-/// Return every finished table's buffers to this thread's pool (see
-/// [`crate::pool`]) once the search no longer reads them.
-fn recycle_tables(dp: Vec<Option<Table>>) {
-    for t in dp.into_iter().flatten() {
-        pool::recycle_table(t.costs, t.choice);
-    }
 }
 
 /// Run FindBestStrategy with breadth-first ordering and prefix connected
@@ -224,13 +223,11 @@ pub(crate) struct Prepared {
     pub(crate) stats: SearchStats,
 }
 
-/// The prelude every DP driver shares — the scalar and frontier engines
-/// and the [`crate::reference`] oracles: stats initialization tagged with
-/// `engine`, the structure build (unless `prebuilt` is supplied — the
-/// adaptive gate builds it once for its estimate), and the
-/// budget-accounted plan pass. `Err` carries an outcome settled before any
-/// fill: the zero-cost strategy of an empty graph (`Found`), or the
-/// `Oom`/`Timeout` the plan pass hit.
+/// The prelude of every DP fill — [`drive`] and the [`crate::reference`]
+/// oracles: stats initialization tagged with `engine`, the structure build
+/// (unless `prebuilt` is supplied — the adaptive gate builds it once for
+/// its estimate), and the budget-accounted plan pass. `Err` carries the
+/// `Oom`/`Timeout` the plan pass hit before any fill.
 pub(crate) fn prepare(
     graph: &Graph,
     tables: &CostTables,
@@ -238,18 +235,8 @@ pub(crate) fn prepare(
     trace: Option<&Trace>,
     prebuilt: Option<VertexStructure>,
     engine: &'static str,
-) -> Result<Prepared, SearchOutcome> {
+) -> Result<Prepared, Box<SearchOutcome>> {
     let start = Instant::now();
-    if graph.is_empty() {
-        return Err(SearchOutcome::Found(SearchResult {
-            cost: 0.0,
-            config_ids: vec![],
-            stats: SearchStats {
-                dp_kernel: engine,
-                ..SearchStats::default()
-            },
-        }));
-    }
     let structure =
         prebuilt.unwrap_or_else(|| build_structure(graph, opts.ordering, opts.mode, trace));
     let deadline = start + opts.budget.max_time;
@@ -298,7 +285,7 @@ fn build_plans(
     deadline: Instant,
     stats: &mut SearchStats,
     trace: Option<&Trace>,
-) -> Result<Vec<Plan>, SearchOutcome> {
+) -> Result<Vec<Plan>, Box<SearchOutcome>> {
     let n = graph.len();
     let mut plan_span = span_in(trace, phase::PLAN);
     let mut plans: Vec<Plan> = Vec::with_capacity(n);
@@ -313,25 +300,25 @@ fn build_plans(
                 Some(s) => size = s,
                 None => {
                     stats.elapsed = start.elapsed();
-                    return Err(SearchOutcome::Oom {
+                    return Err(Box::new(SearchOutcome::Oom {
                         needed_entries: u64::MAX,
                         stats: stats.clone(),
-                    });
+                    }));
                 }
             }
         }
         if stats.table_entries.saturating_add(size) > budget.max_table_entries {
             stats.elapsed = start.elapsed();
-            return Err(SearchOutcome::Oom {
+            return Err(Box::new(SearchOutcome::Oom {
                 needed_entries: stats.table_entries.saturating_add(size),
                 stats: stats.clone(),
-            });
+            }));
         }
         if Instant::now() > deadline {
             stats.elapsed = start.elapsed();
-            return Err(SearchOutcome::Timeout {
+            return Err(Box::new(SearchOutcome::Timeout {
                 stats: stats.clone(),
-            });
+            }));
         }
         let mut strides = vec![1u64; dep.len()];
         for t in (0..dep.len().saturating_sub(1)).rev() {
@@ -377,8 +364,7 @@ fn build_plans(
 }
 
 /// Linear-lookup coefficients of position `i`'s child tables. Needs only
-/// the plans (dep + strides), never table contents — shared by the scalar
-/// and frontier fills.
+/// the plans (dep + strides), never table contents.
 pub(crate) fn child_coefs(plans: &[Plan], structure: &VertexStructure, i: usize) -> Vec<ChildCoef> {
     let plan = &plans[i];
     structure
@@ -416,12 +402,18 @@ pub(crate) fn child_coefs(plans: &[Plan], structure: &VertexStructure, i: usize)
 /// argmin configuration and recursing into the connected subsets with the
 /// restricted substrategy. Assignments are kept sorted by node id so
 /// lookups are binary searches / merge walks instead of linear scans.
-pub(crate) fn backtrack(structure: &VertexStructure, dp: &[Option<Table>]) -> (f64, Vec<u16>) {
+pub(crate) fn backtrack(
+    structure: &VertexStructure,
+    plans: &[Plan],
+    dp: &[Option<Pooled<Table>>],
+) -> (f64, Vec<u16>) {
     let mut total = 0.0;
     for &r in structure.roots() {
-        let t = dp[r].as_ref().expect("root table");
-        debug_assert!(t.dep.is_empty(), "root must have an empty dependent set");
-        total += t.costs[0];
+        debug_assert!(
+            plans[r].dep.is_empty(),
+            "root must have an empty dependent set"
+        );
+        total += dp[r].as_ref().expect("root table").costs[0];
     }
     let mut ids = vec![u16::MAX; dp.len()];
     let mut stack: Vec<(usize, Vec<(NodeId, u16)>)> =
@@ -429,14 +421,14 @@ pub(crate) fn backtrack(structure: &VertexStructure, dp: &[Option<Table>]) -> (f
     while let Some((i, assignment)) = stack.pop() {
         let t = dp[i].as_ref().expect("table");
         let vi = structure.vertex(i);
-        let flat = t.flat_index_of(&assignment);
+        let flat = plans[i].flat_index_of(&assignment);
         let c = t.choice[flat];
         ids[vi.index()] = c;
         let mut extended = assignment;
         let at = extended.partition_point(|&(w, _)| w < vi);
         extended.insert(at, (vi, c));
         for &j in structure.subset_anchors(i) {
-            let child_dep = &dp[j].as_ref().expect("child").dep;
+            let child_dep = &plans[j].dep;
             // child_dep is sorted, so the mapped assignment stays sorted.
             let child_assignment: Vec<(NodeId, u16)> = child_dep
                 .iter()
@@ -457,253 +449,363 @@ pub(crate) fn backtrack(structure: &VertexStructure, dp: &[Option<Table>]) -> (f
     (total, ids)
 }
 
-/// The scalar DP engine behind [`crate::Search`]: the shared [`prepare`]
-/// prelude, then the wavefront-parallel (or sequential) table fill through
-/// the tiled min-plus microkernel of [`crate::kernel`], then
-/// back-substitution. Records into `trace`, when one is given, a
+/// The per-state value of the DP: everything [`drive`] needs to know to
+/// fill tables of it and read the answer back. [`MinTime`] is PaSE's
+/// min-plus `f64`; `crate::frontier::Pareto` is a dominance-pruned set of
+/// `(time, memory)` points.
+pub(crate) trait DpValue: Sync {
+    /// The `stats.dp_kernel` tag.
+    const ENGINE: &'static str;
+    /// Entries per fill call: the granularity of the shared work queue and
+    /// of deadline checks.
+    const CHUNK: usize;
+    /// One filled table.
+    type Table: Poolable + Sync;
+    /// One vertex's entry-invariant operands, packed once and shared by
+    /// every chunk of its table.
+    type Pack: Send + Sync;
+    /// Per-worker fill scratch.
+    type Scratch: Poolable;
+    /// The buffers one table's parts fill, before [`DpValue::finish`].
+    type Out: Send;
+    /// One disjoint, contiguous entry range of an `Out`.
+    type Part<'a>: Send;
+
+    /// Pack `plan`'s entry-invariant operands; `children` are its child
+    /// tables' lookup coefficients.
+    fn pack(
+        &self,
+        tables: &CostTables,
+        plan: &Plan,
+        children: &[ChildCoef],
+        dp: &[Option<Pooled<Self::Table>>],
+    ) -> Self::Pack;
+    /// Bytes the pack copied into panels (the `packed_bytes` counter).
+    fn packed_bytes(pack: &Self::Pack) -> u64;
+    /// Fresh output buffers for `plan`'s table, in parts of `part_len`
+    /// entries.
+    fn take_out(plan: &Plan, part_len: usize) -> Self::Out;
+    /// `out` cut into its `part_len`-entry parts, in entry order.
+    fn parts(out: &mut Self::Out, part_len: usize) -> impl Iterator<Item = Self::Part<'_>>;
+    /// Fill entries `start .. start + len` of `cx.plan`'s table into
+    /// `part`, the part holding them; a part is filled in entry order.
+    fn fill(
+        &self,
+        cx: &FillCx<'_, Self>,
+        scratch: &mut Self::Scratch,
+        start: u64,
+        len: usize,
+        part: &mut Self::Part<'_>,
+    ) -> Result<(), GraphError>;
+    /// The table a filled `out` holds.
+    fn finish(out: Self::Out) -> Pooled<Self::Table>;
+    /// Bytes `table` holds, checked against the budget's byte cap after
+    /// each wave; `n_children` is its position's child-table count.
+    fn table_bytes(table: &Self::Table, n_children: usize) -> u64;
+    /// Back-substitution over the filled tables: the search's answer, with
+    /// `stats` attached.
+    fn backtrack(
+        &self,
+        tables: &CostTables,
+        structure: &VertexStructure,
+        plans: &[Plan],
+        dp: &[Option<Pooled<Self::Table>>],
+        stats: SearchStats,
+    ) -> Filled;
+}
+
+/// What one chunk fill reads: the cost tables, the position's plan and
+/// pack, and the tables of earlier waves.
+pub(crate) struct FillCx<'a, V: DpValue + ?Sized> {
+    pub(crate) tables: &'a CostTables,
+    pub(crate) plan: &'a Plan,
+    pub(crate) pack: &'a V::Pack,
+    pub(crate) dp: &'a [Option<Pooled<V::Table>>],
+}
+
+/// PaSE's DP value: the minimum step time `R_V(i, φ)`, filled by the tiled
+/// min-plus microkernel of [`crate::kernel`] straight into each table's
+/// final arrays.
+pub(crate) struct MinTime;
+
+impl DpValue for MinTime {
+    const ENGINE: &'static str = "tiled";
+    const CHUNK: usize = 4096;
+    type Table = Table;
+    type Pack = PackedVertex;
+    type Scratch = Scratch;
+    type Out = Pooled<Table>;
+    type Part<'a> = FillChunk<'a>;
+
+    fn pack(
+        &self,
+        tables: &CostTables,
+        plan: &Plan,
+        children: &[ChildCoef],
+        dp: &[Option<Pooled<Table>>],
+    ) -> PackedVertex {
+        kernel::pack_vertex(tables, plan, children, dp)
+    }
+
+    fn packed_bytes(pack: &PackedVertex) -> u64 {
+        pack.packed_bytes
+    }
+
+    fn take_out(plan: &Plan, _part_len: usize) -> Pooled<Table> {
+        Table::take(plan)
+    }
+
+    fn parts(out: &mut Pooled<Table>, part_len: usize) -> impl Iterator<Item = FillChunk<'_>> {
+        let t = &mut **out;
+        (t.costs
+            .chunks_mut(part_len)
+            .zip(t.choice.chunks_mut(part_len)))
+        .enumerate()
+        .map(move |(k, (costs, choice))| FillChunk {
+            start: (k * part_len) as u64,
+            costs,
+            choice,
+        })
+    }
+
+    fn fill(
+        &self,
+        cx: &FillCx<'_, Self>,
+        scratch: &mut Scratch,
+        start: u64,
+        len: usize,
+        part: &mut FillChunk<'_>,
+    ) -> Result<(), GraphError> {
+        let off = (start - part.start) as usize;
+        let mut chunk = FillChunk {
+            start,
+            costs: &mut part.costs[off..off + len],
+            choice: &mut part.choice[off..off + len],
+        };
+        kernel::fill_chunk_tiled(cx.tables, cx.plan, cx.pack, cx.dp, scratch, &mut chunk)
+    }
+
+    fn finish(out: Pooled<Table>) -> Pooled<Table> {
+        out
+    }
+
+    fn table_bytes(table: &Table, _n_children: usize) -> u64 {
+        table.costs.len() as u64 * DP_ENTRY_BYTES
+    }
+
+    fn backtrack(
+        &self,
+        _tables: &CostTables,
+        structure: &VertexStructure,
+        plans: &[Plan],
+        dp: &[Option<Pooled<Table>>],
+        stats: SearchStats,
+    ) -> Filled {
+        let (cost, config_ids) = backtrack(structure, plans, dp);
+        Filled {
+            outcome: SearchOutcome::Found(SearchResult {
+                cost,
+                config_ids,
+                stats,
+            }),
+            frontier: None,
+        }
+    }
+}
+
+/// The DP engine behind [`crate::Search`], for any DP value: the shared
+/// [`prepare`] prelude, the wavefront-parallel table fill (see the module
+/// docs), then back-substitution. Records into `trace`, when one is given, a
 /// [`pase_obs::phase::STRUCTURE`] span for ordering + structure
 /// construction, [`pase_obs::phase::PLAN`] for the budget-accounting pass,
-/// one `"wavefront <w>"` span per DP wavefront — or one
-/// [`pase_obs::phase::SEQUENTIAL_FILL`] span when `opts.parallel` is off —
-/// each with a nested [`pase_obs::phase::KERNEL`] span, the `table_bytes`
-/// and `packed_bytes` counters, and [`pase_obs::phase::BACKTRACK`] for
-/// strategy extraction. Results are identical with and without a trace.
+/// one `"wavefront <w>"` span per DP wavefront, each with a nested
+/// [`pase_obs::phase::KERNEL`] span, the `table_bytes` and `packed_bytes`
+/// counters after each wave, and [`pase_obs::phase::BACKTRACK`] for
+/// strategy extraction. Results are identical with and without a trace,
+/// and at any rayon thread count.
 ///
 /// Accepts a caller-supplied [`VertexStructure`] (which depends only on the
 /// graph, ordering, and connected-set mode — never on the tables, so one
 /// build serves the adaptive gate's estimation, a pruned DP, and an
 /// unpruned DP alike).
-pub(crate) fn run_with_structure(
+pub(crate) fn drive<V: DpValue>(
+    value: &V,
     graph: &Graph,
     tables: &CostTables,
     opts: &DpOptions,
     trace: Option<&Trace>,
     prebuilt: Option<VertexStructure>,
-) -> Result<SearchOutcome, GraphError> {
+) -> Result<Filled, GraphError> {
     let Prepared {
         start,
         deadline,
         structure,
         plans,
         mut stats,
-    } = match prepare(graph, tables, opts, trace, prebuilt, ENGINE) {
+    } = match prepare(graph, tables, opts, trace, prebuilt, V::ENGINE) {
         Ok(p) => p,
-        Err(outcome) => return Ok(outcome),
+        Err(outcome) => {
+            return Ok(Filled {
+                outcome: *outcome,
+                frontier: None,
+            })
+        }
     };
-    let n = plans.len();
+    let mut dp: Vec<Option<Pooled<V::Table>>> = (0..plans.len()).map(|_| None).collect();
+    let byte_cap = opts.budget.max_table_bytes();
+    // Bytes held by finished tables, and bytes transposed into panel
+    // scratch so far (the pase-obs `table_bytes` / `packed_bytes`
+    // counters).
+    let (mut table_bytes, mut packed_bytes) = (0u64, 0u64);
 
-    // Child coefficients need only the child's *plan* (dep + strides), so
-    // they are precomputable for every position up front.
-    let children_of = |i: usize| -> Vec<ChildCoef> { child_coefs(&plans, &structure, i) };
-
-    let timed_out = AtomicBool::new(false);
-    let errored = AtomicBool::new(false);
-    // First fill error (the kernel only fails on a malformed plan); chunks
-    // observe `errored` and drain without working, like a timeout.
-    let fill_error: Mutex<Option<GraphError>> = Mutex::new(None);
-    // Cumulative bytes transposed into panel scratch (the pase-obs
-    // `packed_bytes` counter).
-    let packed_bytes = AtomicU64::new(0);
-    let mut dp: Vec<Option<Table>> = (0..n).map(|_| None).collect();
-
-    let mut allocated_entries = 0u64;
-    if opts.parallel {
-        // Wavefront schedule: every table of a wave depends only on tables
-        // of earlier waves, so all chunks of all tables in the wave go into
-        // one shared work queue.
-        for (wi, wave) in structure.wavefronts().iter().enumerate() {
-            let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
-            let mut outs: Vec<(Vec<f64>, Vec<u16>)> = wave
-                .iter()
-                .map(|&i| pool::take_table(plans[i].size as usize))
-                .collect();
-            let total_entries: usize = wave.iter().map(|&i| plans[i].size as usize).sum();
-
-            let kernel_span = span_in(trace, phase::KERNEL);
-            // Pack each table's entry-invariant operands once, up front and
-            // in parallel; every chunk of a table shares its pack.
-            let wave_packed: Vec<kernel::PackedVertex> = {
-                let dp_ref = &dp;
-                (0..wave.len())
-                    .into_par_iter()
-                    .map(|w| {
-                        let i = wave[w];
-                        kernel::pack_vertex(tables, &plans[i], &children_of(i), dp_ref)
-                    })
-                    .collect()
-            };
-            packed_bytes.fetch_add(
-                wave_packed.iter().map(|p| p.packed_bytes).sum::<u64>(),
-                AtomicOrdering::Relaxed,
-            );
-            if total_entries >= CHUNK {
-                let mut chunks: Vec<FillChunk<'_>> = Vec::new();
-                for (w, (costs, choice)) in outs.iter_mut().enumerate() {
-                    let mut start = 0u64;
-                    for (cs, ch) in costs.chunks_mut(CHUNK).zip(choice.chunks_mut(CHUNK)) {
-                        let len = cs.len() as u64;
-                        chunks.push(FillChunk {
-                            plan_idx: w,
-                            start,
-                            costs: cs,
-                            choice: ch,
-                        });
-                        start += len;
-                    }
-                }
-                let dp_ref = &dp;
-                let plans_ref = &plans;
-                let wave_packed_ref = &wave_packed;
-                let timed_out_ref = &timed_out;
-                let errored_ref = &errored;
-                let fill_error_ref = &fill_error;
-                chunks
-                    .into_par_iter()
-                    .for_each_init(pool::take_scratch, |scratch, mut chunk| {
-                        if timed_out_ref.load(AtomicOrdering::Relaxed)
-                            || errored_ref.load(AtomicOrdering::Relaxed)
-                        {
-                            return;
-                        }
-                        if Instant::now() > deadline {
-                            timed_out_ref.store(true, AtomicOrdering::Relaxed);
-                            return;
-                        }
-                        let i = wave[chunk.plan_idx];
-                        if let Err(e) = kernel::fill_chunk_tiled(
-                            tables,
-                            &plans_ref[i],
-                            &wave_packed_ref[chunk.plan_idx],
-                            dp_ref,
-                            scratch,
-                            &mut chunk,
-                        ) {
-                            errored_ref.store(true, AtomicOrdering::Relaxed);
-                            fill_error_ref.lock().unwrap().get_or_insert(e);
-                        }
-                    });
+    for (wi, wave) in structure.wavefronts().iter().enumerate() {
+        let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
+        let kernel_span = span_in(trace, phase::KERNEL);
+        let total_entries: u64 = wave.iter().map(|&i| plans[i].size).sum();
+        // Every table of a wave depends only on tables of earlier waves, so
+        // the chunks of all of them go into one shared work queue, one
+        // `CHUNK`-entry part each. A wave of less than one chunk, or a
+        // 1-thread pool, gains nothing from the queue: it is filled inline,
+        // one table at a time and each table as one part, so each table's
+        // pack and output stay in cache and nothing is stitched.
+        let shared = total_entries >= V::CHUNK as u64 && rayon::current_num_threads() > 1;
+        let part_len = |i: usize| {
+            if shared {
+                V::CHUNK
             } else {
-                let mut scratch = pool::take_scratch();
-                for (w, (costs, choice)) in outs.iter_mut().enumerate() {
-                    if Instant::now() > deadline {
-                        timed_out.store(true, AtomicOrdering::Relaxed);
-                        break;
-                    }
-                    let i = wave[w];
-                    let mut chunk = FillChunk {
-                        plan_idx: w,
-                        start: 0,
-                        costs,
-                        choice,
-                    };
-                    if let Err(e) = kernel::fill_chunk_tiled(
-                        tables,
-                        &plans[i],
-                        &wave_packed[w],
-                        &dp,
-                        &mut scratch,
-                        &mut chunk,
-                    ) {
-                        errored.store(true, AtomicOrdering::Relaxed);
-                        fill_error.lock().unwrap().get_or_insert(e);
-                        break;
-                    }
+                (plans[i].size as usize).max(1)
+            }
+        };
+        let mut scratch = Pooled::<V::Scratch>::take();
+        for batch in wave.chunks(if shared { wave.len() } else { 1 }) {
+            // Pack each table's entry-invariant operands once (in parallel
+            // for a shared queue); every chunk of a table shares its pack.
+            let pack =
+                |i: usize| value.pack(tables, &plans[i], &child_coefs(&plans, &structure, i), &dp);
+            let packs: Vec<V::Pack> = if shared {
+                (0..batch.len())
+                    .into_par_iter()
+                    .map(|w| pack(batch[w]))
+                    .collect()
+            } else {
+                batch.iter().map(|&i| pack(i)).collect()
+            };
+            packed_bytes += packs.iter().map(V::packed_bytes).sum::<u64>();
+            let mut outs: Vec<V::Out> = batch
+                .iter()
+                .map(|&i| V::take_out(&plans[i], part_len(i)))
+                .collect();
+            let mut parts = Vec::new();
+            for (w, out) in outs.iter_mut().enumerate() {
+                let (size, n) = (plans[batch[w]].size as usize, part_len(batch[w]));
+                for (k, part) in V::parts(out, n).enumerate() {
+                    parts.push((w, k * n, (size - k * n).min(n), part));
                 }
             }
-            drop(kernel_span);
-            wave_span.arg("tables", wave.len());
-            wave_span.arg("entries", total_entries);
-            drop(wave_span);
-            if timed_out.load(AtomicOrdering::Relaxed) || errored.load(AtomicOrdering::Relaxed) {
-                for (costs, choice) in outs {
-                    pool::recycle_table(costs, choice);
+            // Set by a timeout or a fill error (the kernels only fail on a
+            // malformed plan); later chunks drain without working.
+            let aborted = AtomicBool::new(false);
+            let fill_error: Mutex<Option<GraphError>> = Mutex::new(None);
+            let fill = |scratch: &mut V::Scratch,
+                        (w, lo, len, mut part): (usize, usize, usize, _)| {
+                let cx = FillCx {
+                    tables,
+                    plan: &plans[batch[w]],
+                    pack: &packs[w],
+                    dp: &dp,
+                };
+                for start in (lo..lo + len).step_by(V::CHUNK) {
+                    if aborted.load(AtomicOrdering::Relaxed) {
+                        return;
+                    }
+                    if Instant::now() > deadline {
+                        aborted.store(true, AtomicOrdering::Relaxed);
+                        return;
+                    }
+                    let n = (lo + len - start).min(V::CHUNK);
+                    if let Err(e) = value.fill(&cx, scratch, start as u64, n, &mut part) {
+                        aborted.store(true, AtomicOrdering::Relaxed);
+                        fill_error.lock().unwrap().get_or_insert(e);
+                        return;
+                    }
                 }
-                recycle_tables(dp);
-                if let Some(e) = fill_error.lock().unwrap().take() {
+            };
+            if shared {
+                parts
+                    .into_par_iter()
+                    .for_each_init(Pooled::<V::Scratch>::take, |scratch, part| {
+                        fill(scratch, part)
+                    });
+            } else {
+                for part in parts {
+                    fill(&mut scratch, part);
+                }
+            }
+            if aborted.into_inner() {
+                if let Some(e) = fill_error.into_inner().unwrap() {
                     return Err(e);
                 }
                 stats.elapsed = start.elapsed();
-                return Ok(SearchOutcome::Timeout { stats });
+                return Ok(Filled {
+                    outcome: SearchOutcome::Timeout { stats },
+                    frontier: None,
+                });
             }
-            for (w, (costs, choice)) in outs.into_iter().enumerate() {
-                dp[wave[w]] = Some(Table::new(&plans[wave[w]], costs, choice));
+            for (&i, out) in batch.iter().zip(outs) {
+                let table = V::finish(out);
+                table_bytes += V::table_bytes(&table, structure.subset_anchors(i).len());
+                dp[i] = Some(table);
             }
-            if let Some(t) = trace {
-                allocated_entries += total_entries as u64;
-                t.counter("table_bytes", allocated_entries * DP_ENTRY_BYTES);
-                t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-            }
-        }
-    } else {
-        // Strictly sequential fill in position order (the wavefront
-        // schedule produces bit-identical tables; this path exists for
-        // measurement and as the oracle in scheduling tests).
-        let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
-        fill_span.arg("tables", n);
-        fill_span.arg("entries", stats.table_entries);
-        let kernel_span = span_in(trace, phase::KERNEL);
-        let mut scratch = pool::take_scratch();
-        for i in 0..n {
-            let packed = kernel::pack_vertex(tables, &plans[i], &children_of(i), &dp);
-            packed_bytes.fetch_add(packed.packed_bytes, AtomicOrdering::Relaxed);
-            let size = plans[i].size as usize;
-            let (mut costs, mut choice) = pool::take_table(size);
-            for lo in (0..size).step_by(CHUNK) {
-                if Instant::now() > deadline {
-                    pool::recycle_table(costs, choice);
-                    recycle_tables(dp);
-                    stats.elapsed = start.elapsed();
-                    return Ok(SearchOutcome::Timeout { stats });
-                }
-                let hi = (lo + CHUNK).min(size);
-                let mut chunk = FillChunk {
-                    plan_idx: i,
-                    start: lo as u64,
-                    costs: &mut costs[lo..hi],
-                    choice: &mut choice[lo..hi],
-                };
-                if let Err(e) = kernel::fill_chunk_tiled(
-                    tables,
-                    &plans[i],
-                    &packed,
-                    &dp,
-                    &mut scratch,
-                    &mut chunk,
-                ) {
-                    pool::recycle_table(costs, choice);
-                    recycle_tables(dp);
-                    return Err(e);
-                }
-            }
-            dp[i] = Some(Table::new(&plans[i], costs, choice));
         }
         drop(kernel_span);
+        wave_span.arg("tables", wave.len());
+        wave_span.arg("entries", total_entries);
+        drop(wave_span);
         if let Some(t) = trace {
-            t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
+            t.counter("table_bytes", table_bytes);
+            t.counter("packed_bytes", packed_bytes);
+        }
+        // Scalar tables were accounted exactly by the plan pass; this only
+        // trips for values whose size depends on table contents.
+        if table_bytes > byte_cap {
+            stats.peak_table_bytes = stats.peak_table_bytes.max(table_bytes);
+            stats.elapsed = start.elapsed();
+            return Ok(Filled {
+                outcome: SearchOutcome::Oom {
+                    needed_entries: table_bytes / DP_ENTRY_BYTES,
+                    stats,
+                },
+                frontier: None,
+            });
         }
     }
+    stats.peak_table_bytes = stats.peak_table_bytes.max(table_bytes);
 
     let mut backtrack_span = span_in(trace, phase::BACKTRACK);
     backtrack_span.arg("roots", structure.roots().len());
-    let (cost, config_ids) = backtrack(&structure, &dp);
+    let mut filled = value.backtrack(tables, &structure, &plans, &dp, stats);
     drop(backtrack_span);
-    recycle_tables(dp);
-
-    stats.elapsed = start.elapsed();
-    Ok(SearchOutcome::Found(SearchResult {
-        cost,
-        config_ids,
-        stats,
-    }))
+    drop(dp);
+    filled.outcome.stats_mut().elapsed = start.elapsed();
+    Ok(filled)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::brute::brute_force;
     use crate::Search;
     use pase_cost::{ConfigRule, MachineSpec, PruneOptions};
     use pase_graph::{DimRole, GraphBuilder, IterDim, Node, OpKind, TensorRef};
+
+    /// Run `f` on a rayon pool capped at `threads` workers.
+    pub(crate) fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("thread pool")
+            .install(f)
+    }
 
     fn fc(name: &str, ins: usize, b: u64, n: u64, c: u64) -> Node {
         let dims = vec![
@@ -854,40 +956,35 @@ mod tests {
     fn serial_and_parallel_agree() {
         let g = diamond();
         let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
-        let par = Search::new(&g)
-            .tables(&tables)
-            .run()
-            .expect_found("parallel");
-        let ser = Search::new(&g)
-            .tables(&tables)
-            .parallel(false)
-            .run()
-            .expect_found("serial");
+        let run = |threads| with_threads(threads, || Search::new(&g).tables(&tables).run());
+        let par = run(4).expect_found("parallel");
+        let ser = run(1).expect_found("serial");
         assert_eq!(par.cost, ser.cost);
         assert_eq!(par.config_ids, ser.config_ids);
     }
 
     #[test]
-    fn wavefront_and_sequential_schedules_agree_on_benchmarks() {
-        // The wavefront schedule must be a pure reordering of the work: on
-        // every paper benchmark model the costs AND the extracted per-node
-        // configuration ids must match the sequential fill exactly.
+    fn one_and_many_threads_agree_on_benchmarks() {
+        // Spreading a wave's chunks over workers must be a pure reordering
+        // of the work: on every paper benchmark model the costs AND the
+        // extracted per-node configuration ids must match a 1-thread fill
+        // exactly.
         for bench in pase_models::Benchmark::all() {
             let g = bench.build();
             let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
-            let wavefront = Search::new(&g)
-                .tables(&tables)
-                .run()
-                .expect_found(bench.name());
-            let sequential = Search::new(&g)
-                .tables(&tables)
-                .parallel(false)
-                .run()
-                .expect_found(bench.name());
+            let run = |threads| {
+                with_threads(threads, || {
+                    Search::new(&g)
+                        .tables(&tables)
+                        .run()
+                        .expect_found(bench.name())
+                })
+            };
+            let (wavefront, sequential) = (run(4), run(1));
             assert_eq!(
                 wavefront.cost.to_bits(),
                 sequential.cost.to_bits(),
-                "{}: wavefront cost {} != sequential cost {}",
+                "{}: 4-thread cost {} != 1-thread cost {}",
                 bench.name(),
                 wavefront.cost,
                 sequential.cost
@@ -895,7 +992,7 @@ mod tests {
             assert_eq!(
                 wavefront.config_ids,
                 sequential.config_ids,
-                "{}: schedules disagree on the argmin strategy",
+                "{}: thread counts disagree on the argmin strategy",
                 bench.name()
             );
             assert!(wavefront.stats.wavefronts > 0);
@@ -978,7 +1075,7 @@ mod tests {
         // Diamond has repeated structures (b/c identical), so the interned
         // build must report sharing.
         assert!(r.stats.intern_hit_rate.expect("interning ran") > 0.0);
-        assert_eq!(r.stats.dp_kernel, ENGINE);
+        assert_eq!(r.stats.dp_kernel, MinTime::ENGINE);
     }
 
     #[test]
@@ -1075,23 +1172,6 @@ mod tests {
         assert_eq!(samples.len(), r.stats.wavefronts);
         assert_eq!(samples.last().copied(), Some(r.stats.peak_table_bytes));
         assert!(samples.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn traced_sequential_fill_records_fill_span() {
-        use pase_obs::Trace;
-        let g = chain3();
-        let tables = CostTables::build(&g, ConfigRule::new(4), &MachineSpec::test_machine());
-        let trace = Trace::new();
-        Search::new(&g)
-            .tables(&tables)
-            .parallel(false)
-            .trace(&trace)
-            .run()
-            .expect_found("sequential traced");
-        let names: Vec<String> = trace.spans().iter().map(|s| s.name.clone()).collect();
-        assert!(names.iter().any(|n| n == phase::SEQUENTIAL_FILL));
-        assert!(!names.iter().any(|n| phase::is_wavefront(n)));
     }
 
     #[test]

@@ -27,16 +27,18 @@ pub enum Error {
     Oom {
         /// Entries that would have been needed when the search aborted.
         needed_entries: u64,
-        /// Statistics up to the abort.
-        stats: SearchStats,
+        /// Statistics up to the abort (boxed: they dwarf every other
+        /// variant).
+        stats: Box<SearchStats>,
     },
     /// The wall-clock budget was exhausted — the programmatic form of
     /// [`crate::SearchOutcome::Timeout`].
     Timeout {
         /// Time spent before the abort.
         elapsed: Duration,
-        /// Statistics up to the abort.
-        stats: SearchStats,
+        /// Statistics up to the abort (boxed: they dwarf every other
+        /// variant).
+        stats: Box<SearchStats>,
     },
     /// A memory-constrained search completed but no strategy fits the
     /// requested budget — the programmatic form of
@@ -45,7 +47,7 @@ pub enum Error {
         /// The smallest peak strategy memory any strategy achieves.
         min_memory_bytes: u64,
         /// Statistics of the completed frontier search.
-        stats: SearchStats,
+        stats: Box<SearchStats>,
     },
     /// A structurally malformed edge surfaced by the cost model
     /// ([`pase_cost::try_transfer_bytes`]).
@@ -93,18 +95,18 @@ impl Error {
                 stats,
             } => Some(Error::Oom {
                 needed_entries: *needed_entries,
-                stats: stats.clone(),
+                stats: Box::new(stats.clone()),
             }),
             crate::SearchOutcome::Timeout { stats } => Some(Error::Timeout {
                 elapsed: stats.elapsed,
-                stats: stats.clone(),
+                stats: Box::new(stats.clone()),
             }),
             crate::SearchOutcome::Infeasible {
                 min_memory_bytes,
                 stats,
             } => Some(Error::Infeasible {
                 min_memory_bytes: *min_memory_bytes,
-                stats: stats.clone(),
+                stats: Box::new(stats.clone()),
             }),
         }
     }

@@ -40,8 +40,9 @@
 //!   `min(a + b) = min(a) + min(b)` under monotone addition, so the global
 //!   frontier's min-time point is **bit-identical** to the scalar optimum.
 //!
-//! Entries are computed independently, so the sequential and wavefront
-//! schedules are trivially bit-identical.
+//! The tables are filled by the one wavefront driver, [`crate::dp::drive`],
+//! with [`Pareto`] as its DP value. Entries are computed independently, so
+//! the result is bit-identical at any thread count.
 //!
 //! ## The frontier microkernel
 //!
@@ -81,27 +82,15 @@
 //! *value* stays exact at any width — the two answers
 //! `tests/frontier_parity.rs` pins — while each extreme point's companion
 //! coordinate and the width-thinned interior may differ from the oracle's.
-//! Entries are computed independently, so both schedulers are
-//! bit-identical.
 
-use crate::budget::{SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
-use crate::dp::{child_coefs, prepare, ChildCoef, DpOptions, Plan, Prepared};
+use crate::budget::{SearchOutcome, SearchResult, SearchStats};
+use crate::dp::{child_coefs, ChildCoef, DpValue, FillCx, Plan};
 use crate::kernel;
-use crate::pool;
+use crate::pool::{free_list, shed_vec, Poolable, Pooled, MAX_POOLED_ENTRIES, MAX_POOLED_PANEL};
 use crate::search::Filled;
 use crate::structure::VertexStructure;
 use pase_cost::CostTables;
-use pase_graph::Graph;
-use pase_obs::{phase, span_in, OptSpan, Trace};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::time::Instant;
-
-/// Entries per deadline check in the frontier fill.
-const CHUNK: usize = 1024;
-
-/// The `stats.dp_kernel` tag of the frontier engine.
-pub(crate) const ENGINE: &str = "frontier-tiled";
+use pase_graph::GraphError;
 
 /// Approximate bytes one frontier point occupies (time + memory + choice),
 /// excluding the per-child backtrack indices accounted separately.
@@ -200,8 +189,8 @@ pub(crate) struct Pt {
 /// rows sit at the same positions (× children) in `kids`. Child lookups
 /// are the hottest reads of the fill; one contiguous buffer per table
 /// keeps them prefetchable instead of chasing a `Vec` header per entry.
-/// Buffers are recycled through `crate::pool` (`take_ftable` /
-/// `recycle_ftable`).
+/// Buffers are recycled through `crate::pool`; a taken table is empty,
+/// its offsets holding only the leading 0.
 #[derive(Default)]
 pub(crate) struct FTable {
     pub(crate) offsets: Vec<u32>,
@@ -209,16 +198,22 @@ pub(crate) struct FTable {
     pub(crate) kids: Vec<u32>,
 }
 
-impl FTable {
-    /// Clear and prime for `n` entries (the pool's reset hook).
-    pub(crate) fn reset(&mut self, n: usize) {
+impl Poolable for FTable {
+    free_list!(FTable);
+    fn reset(&mut self) {
         self.offsets.clear();
-        self.offsets.reserve(n + 1);
         self.offsets.push(0);
         self.pts.clear();
         self.kids.clear();
     }
+    fn shed(&mut self) -> bool {
+        self.pts.capacity() <= MAX_POOLED_ENTRIES
+            && self.kids.capacity() <= MAX_POOLED_ENTRIES
+            && self.offsets.capacity() <= MAX_POOLED_ENTRIES
+    }
+}
 
+impl FTable {
     /// Entry `i`'s frontier points.
     pub(crate) fn entry_pts(&self, i: usize) -> &[Pt] {
         &self.pts[self.offsets[i] as usize..self.offsets[i + 1] as usize]
@@ -227,12 +222,6 @@ impl FTable {
     /// Entry `i`'s packed child rows (`stride` = children of the position).
     fn entry_kids(&self, i: usize, stride: usize) -> &[u32] {
         &self.kids[self.offsets[i] as usize * stride..self.offsets[i + 1] as usize * stride]
-    }
-
-    /// Append `n` empty entries (timed-out fills keep the offsets valid).
-    fn push_empty(&mut self, n: usize) {
-        let end = self.pts.len() as u32;
-        self.offsets.extend(std::iter::repeat(end).take(n));
     }
 
     /// Re-append the last entry verbatim — the microkernel's replication
@@ -271,11 +260,10 @@ struct Partial {
 }
 
 /// Reusable buffers for the frontier microkernel
-/// ([`fill_chunk_frontier_tiled`]), recycled through `crate::pool`'s
-/// thread-local pool. The hot fold works on flat parallel arrays —
-/// coordinates separate from the packed child-choice rows — so the
-/// combine/merge/prune inner loop moves small tuples instead of
-/// allocating a `Vec<u32>` per candidate point.
+/// ([`fill_chunk_frontier_tiled`]), recycled through `crate::pool`. The
+/// hot fold works on flat parallel arrays — coordinates separate from the
+/// packed child-choice rows — so the combine/merge/prune inner loop moves
+/// small tuples instead of allocating a `Vec<u32>` per candidate point.
 #[derive(Default)]
 pub(crate) struct FrontierScratch {
     digits: Vec<u16>,
@@ -318,33 +306,32 @@ pub(crate) struct FrontierScratch {
     hoist_kids: Vec<u32>,
 }
 
-impl FrontierScratch {
-    /// Drop any buffer grown past `cap` elements before pooling (see
-    /// `crate::pool`): a width-0 exact search can grow the arenas
-    /// arbitrarily, and a one-off giant must not pin the thread.
-    pub(crate) fn shed_oversized(&mut self, cap: usize) {
-        fn shed<T>(v: &mut Vec<T>, cap: usize) {
-            if v.capacity() > cap {
-                *v = Vec::new();
-            }
-        }
-        shed(&mut self.acc, cap);
-        shed(&mut self.acc_kids, cap);
-        shed(&mut self.cand, cap);
-        shed(&mut self.cand2, cap);
-        shed(&mut self.run_buf, cap);
-        shed(&mut self.new_kids, cap);
-        shed(&mut self.result, cap);
-        shed(&mut self.result_kids, cap);
-        shed(&mut self.runs, cap);
-        shed(&mut self.pre, cap);
-        shed(&mut self.trow, cap);
-        shed(&mut self.mrow, cap);
-        shed(&mut self.xm, cap);
-        shed(&mut self.xm2, cap);
-        shed(&mut self.hoist_offsets, cap);
-        shed(&mut self.hoist_pts, cap);
-        shed(&mut self.hoist_kids, cap);
+impl Poolable for FrontierScratch {
+    free_list!(FrontierScratch);
+    /// The fill clears what it uses, so content is irrelevant.
+    fn reset(&mut self) {}
+    /// The arenas scale with `kv × width`, but a width-0 exact search can
+    /// grow them arbitrarily, and a one-off giant must not pin the thread.
+    fn shed(&mut self) -> bool {
+        let cap = MAX_POOLED_PANEL;
+        shed_vec(&mut self.acc, cap);
+        shed_vec(&mut self.acc_kids, cap);
+        shed_vec(&mut self.cand, cap);
+        shed_vec(&mut self.cand2, cap);
+        shed_vec(&mut self.run_buf, cap);
+        shed_vec(&mut self.new_kids, cap);
+        shed_vec(&mut self.result, cap);
+        shed_vec(&mut self.result_kids, cap);
+        shed_vec(&mut self.runs, cap);
+        shed_vec(&mut self.pre, cap);
+        shed_vec(&mut self.trow, cap);
+        shed_vec(&mut self.mrow, cap);
+        shed_vec(&mut self.xm, cap);
+        shed_vec(&mut self.xm2, cap);
+        shed_vec(&mut self.hoist_offsets, cap);
+        shed_vec(&mut self.hoist_pts, cap);
+        shed_vec(&mut self.hoist_kids, cap);
+        true
     }
 }
 
@@ -404,11 +391,6 @@ pub(crate) fn thin_frontier<T>(v: &mut Vec<T>, width: usize) {
         idx += 1;
         keep
     });
-}
-
-/// Approximate heap bytes of one table's frontiers, for budget accounting.
-fn table_bytes(t: &FTable, n_children: usize) -> u64 {
-    t.pts.len() as u64 * (POINT_BYTES + 4 * n_children as u64)
 }
 
 /// One merge candidate: `(time, memory, run index, point index)`.
@@ -694,23 +676,15 @@ struct FChild {
 /// [`pack_frontier_vertex`] and shared read-only by every chunk: the
 /// later-edge panels of [`kernel::pack_edges`] (time component) plus, on
 /// the degenerate fast path, packed per-child time rows and a parallel
-/// packed memory-row panel. Panels are recycled to the thread pool on
-/// drop.
-struct FrontierPack {
-    panel: Vec<f64>,
-    mem_panel: Vec<u64>,
+/// packed memory-row panel. Panels return to the thread pool on drop.
+pub(crate) struct FrontierPack {
+    panel: Pooled<Vec<f64>>,
+    mem_panel: Pooled<Vec<u64>>,
     edges: Vec<(usize, kernel::EdgeRows)>,
     children: Vec<FChild>,
     /// Every child table is all-singleton — the degenerate fast path.
     degenerate: bool,
     packed_bytes: u64,
-}
-
-impl Drop for FrontierPack {
-    fn drop(&mut self) {
-        crate::pool::recycle_panel(std::mem::take(&mut self.panel));
-        crate::pool::recycle_mem_panel(std::mem::take(&mut self.mem_panel));
-    }
 }
 
 /// Pack one vertex's entry-invariant operands for the frontier
@@ -723,11 +697,11 @@ fn pack_frontier_vertex(
     tables: &CostTables,
     plan: &Plan,
     children: &[ChildCoef],
-    dp: &[Option<FTable>],
+    dp: &[Option<Pooled<FTable>>],
 ) -> FrontierPack {
     let kv = plan.kv as usize;
-    let mut panel = crate::pool::take_panel();
-    let mut mem_panel = crate::pool::take_mem_panel();
+    let mut panel = Pooled::<Vec<f64>>::take();
+    let mut mem_panel = Pooled::<Vec<u64>>::take();
     let mut packed_bytes = 0u64;
     let edges = kernel::pack_edges(tables, plan, &mut panel, &mut packed_bytes);
 
@@ -837,13 +811,13 @@ fn fill_chunk_frontier_tiled(
     tables: &CostTables,
     plan: &Plan,
     pack: &FrontierPack,
-    dp: &[Option<FTable>],
+    dp: &[Option<Pooled<FTable>>],
     width: usize,
     start: u64,
     len: usize,
     s: &mut FrontierScratch,
     out: &mut FTable,
-) {
+) -> Result<(), GraphError> {
     let n_dep = plan.dep.len();
     let kv = plan.kv as usize;
     let n_edges = pack.edges.len();
@@ -876,10 +850,9 @@ fn fill_chunk_frontier_tiled(
     // Initial digit decode and child offsets — the only div/mod in the
     // chunk; runs advance by odometer carries.
     digits.clear();
-    digits.resize(n_dep, 0);
-    for t in 0..n_dep {
-        digits[t] = ((start / plan.strides[t]) % u64::from(plan.radix[t])) as u16;
-    }
+    digits.extend(
+        (plan.strides.iter().zip(&plan.radix)).map(|(&s, &r)| ((start / s) % u64::from(r)) as u16),
+    );
     child_base.clear();
     child_step.clear();
     for ch in &pack.children {
@@ -920,7 +893,7 @@ fn fill_chunk_frontier_tiled(
     let child_fts: Vec<&FTable> = pack
         .children
         .iter()
-        .map(|ch| dp[ch.anchor].as_ref().expect("child frontier"))
+        .map(|ch| dp[ch.anchor].as_deref().expect("child frontier"))
         .collect();
 
     // Longest invariant prefix of the later-edge sum (operands that never
@@ -1095,7 +1068,7 @@ fn fill_chunk_frontier_tiled(
                     });
                 }
                 out.kids
-                    .extend(std::iter::repeat(0u32).take(xm.len() * n_children));
+                    .extend(std::iter::repeat_n(0u32, xm.len() * n_children));
                 out.offsets.push(out.pts.len() as u32);
             } else {
                 // General path: per-entry time row by slice passes, then
@@ -1270,11 +1243,7 @@ fn fill_chunk_frontier_tiled(
             let mut t = last;
             loop {
                 if t == 0 {
-                    // Unreachable for in-bounds chunk ranges (the caller
-                    // slices [0, table size)); keep the offsets valid.
-                    debug_assert!(false, "frontier fill odometer overflow");
-                    out.push_empty(len - off);
-                    return;
+                    return Err(kernel::odometer_overflow(plan, start));
                 }
                 t -= 1;
                 digits[t] += 1;
@@ -1292,219 +1261,113 @@ fn fill_chunk_frontier_tiled(
             digits[last] = 0;
         }
     }
+    Ok(())
 }
 
-/// The frontier engine behind [`crate::Search::frontier`] /
-/// [`crate::Search::max_memory_bytes`]: the shared [`prepare`] prelude and
-/// the same scheduling shell as the scalar `run_with_structure`, with a
-/// frontier of `(time, memory)` points per table entry filled by the
-/// microkernel, and a backtrack that extracts the full strategy of *every*
-/// global Pareto point. A completed fill returns the frontier plus its
-/// min-time point as the `Found` outcome; a budget abort returns no
-/// frontier.
-pub(crate) fn run_frontier_with_structure(
-    graph: &Graph,
-    tables: &CostTables,
-    opts: &DpOptions,
-    trace: Option<&Trace>,
-    prebuilt: Option<VertexStructure>,
-) -> Filled {
-    let Prepared {
-        start,
-        deadline,
-        structure,
-        plans,
-        mut stats,
-    } = match prepare(graph, tables, opts, trace, prebuilt, ENGINE) {
-        Ok(p) => p,
-        Err(SearchOutcome::Found(r)) => return done(vec![empty_point()], r.stats),
-        Err(outcome) => {
-            return Filled {
-                outcome,
-                frontier: None,
-            }
-        }
-    };
-    let n = plans.len();
+/// The DP value of frontier searches ([`crate::Search::frontier`] /
+/// [`crate::Search::max_memory_bytes`]): a frontier of `(time, memory)`
+/// points per table entry, each thinned to `width` points, filled by the
+/// microkernel; a table filled in several parts is stitched once its wave
+/// completes.
+/// Its backtrack extracts the full strategy of *every* global Pareto point
+/// and returns the frontier plus its min-time point as the `Found`
+/// outcome; a budget abort returns no frontier.
+pub(crate) struct Pareto {
+    pub(crate) width: usize,
+}
 
-    let timed_out = AtomicBool::new(false);
-    let mut dp: Vec<Option<FTable>> = (0..n).map(|_| None).collect();
-    // Real bytes held by frontier points, checked against the budget's
-    // byte cap after every table (point counts are content-dependent, so —
-    // unlike the scalar entry accounting — this cannot run up front).
-    let mut frontier_bytes: u64 = 0;
-    let byte_cap = opts.budget.max_table_bytes();
-    // Cumulative bytes transposed into panel scratch (the pase-obs
-    // `packed_bytes` counter).
-    let packed_bytes = AtomicU64::new(0);
-    let width = opts.frontier_width;
-    let recycle_dp = |dp: Vec<Option<FTable>>| {
-        for t in dp.into_iter().flatten() {
-            pool::recycle_ftable(t);
-        }
-    };
+impl DpValue for Pareto {
+    const ENGINE: &'static str = "frontier-tiled";
+    const CHUNK: usize = 1024;
+    type Table = FTable;
+    type Pack = FrontierPack;
+    type Scratch = FrontierScratch;
+    type Out = Vec<Pooled<FTable>>;
+    type Part<'a> = &'a mut FTable;
 
-    // Fill one position's table: pack the entry-invariant operands once,
-    // then fill CHUNK-sized blocks — across the rayon pool when parallelism
-    // is on — recycling scratch and per-chunk tables through the
-    // thread-local pools.
-    let fill_table = |i: usize,
-                      children: &[ChildCoef],
-                      dp: &[Option<FTable>],
-                      timed_out: &AtomicBool|
-     -> FTable {
-        let plan = &plans[i];
+    fn pack(
+        &self,
+        tables: &CostTables,
+        plan: &Plan,
+        children: &[ChildCoef],
+        dp: &[Option<Pooled<FTable>>],
+    ) -> FrontierPack {
+        pack_frontier_vertex(tables, plan, children, dp)
+    }
+
+    fn packed_bytes(pack: &FrontierPack) -> u64 {
+        pack.packed_bytes
+    }
+
+    fn take_out(plan: &Plan, part_len: usize) -> Vec<Pooled<FTable>> {
         let size = plan.size as usize;
-        let pack = pack_frontier_vertex(tables, plan, children, dp);
-        packed_bytes.fetch_add(pack.packed_bytes, AtomicOrdering::Relaxed);
-        let fill_chunk = |scratch: &mut FrontierScratch, out: &mut FTable, lo: usize, hi: usize| {
-            if timed_out.load(AtomicOrdering::Relaxed) || Instant::now() > deadline {
-                timed_out.store(true, AtomicOrdering::Relaxed);
-                out.push_empty(hi - lo);
-                return;
-            }
-            fill_chunk_frontier_tiled(
-                tables,
-                plan,
-                &pack,
-                dp,
-                width,
-                lo as u64,
-                hi - lo,
-                scratch,
-                out,
-            );
-        };
-        if opts.parallel && size >= CHUNK {
-            let parts: Vec<FTable> = (0..size.div_ceil(CHUNK))
-                .into_par_iter()
-                .map_init(pool::take_frontier_scratch, |scratch, c| {
-                    let lo = c * CHUNK;
-                    let hi = (lo + CHUNK).min(size);
-                    let mut part = pool::take_ftable(hi - lo);
-                    fill_chunk(scratch, &mut part, lo, hi);
-                    part
-                })
-                .collect();
-            let mut table = pool::take_ftable(size);
-            for part in parts {
-                table.append_table(&part);
-                pool::recycle_ftable(part);
-            }
-            table
-        } else {
-            let mut scratch = pool::take_frontier_scratch();
-            let mut table = pool::take_ftable(size);
-            for lo in (0..size).step_by(CHUNK) {
-                fill_chunk(&mut scratch, &mut table, lo, (lo + CHUNK).min(size));
-            }
-            table
-        }
-    };
-
-    if opts.parallel {
-        for (wi, wave) in structure.wavefronts().iter().enumerate() {
-            let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
-            let kernel_span = span_in(trace, phase::KERNEL);
-            for &i in wave {
-                let children = child_coefs(&plans, &structure, i);
-                let t = fill_table(i, &children, &dp, &timed_out);
-                frontier_bytes += table_bytes(&t, children.len());
-                dp[i] = Some(t);
-            }
-            drop(kernel_span);
-            wave_span.arg("tables", wave.len());
-            drop(wave_span);
-            if let Some(t) = trace {
-                t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-            }
-            if timed_out.load(AtomicOrdering::Relaxed) {
-                recycle_dp(dp);
-                stats.elapsed = start.elapsed();
-                return aborted(SearchOutcome::Timeout { stats });
-            }
-            if frontier_bytes > byte_cap {
-                recycle_dp(dp);
-                stats.peak_table_bytes = stats.peak_table_bytes.max(frontier_bytes);
-                stats.elapsed = start.elapsed();
-                return aborted(SearchOutcome::Oom {
-                    needed_entries: frontier_bytes / DP_ENTRY_BYTES,
-                    stats,
-                });
-            }
-        }
-    } else {
-        let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
-        fill_span.arg("tables", n);
-        let kernel_span = span_in(trace, phase::KERNEL);
-        for i in 0..n {
-            let children = child_coefs(&plans, &structure, i);
-            let t = fill_table(i, &children, &dp, &timed_out);
-            frontier_bytes += table_bytes(&t, children.len());
-            dp[i] = Some(t);
-            if timed_out.load(AtomicOrdering::Relaxed) {
-                recycle_dp(dp);
-                stats.elapsed = start.elapsed();
-                return aborted(SearchOutcome::Timeout { stats });
-            }
-            if frontier_bytes > byte_cap {
-                recycle_dp(dp);
-                stats.peak_table_bytes = stats.peak_table_bytes.max(frontier_bytes);
-                stats.elapsed = start.elapsed();
-                return aborted(SearchOutcome::Oom {
-                    needed_entries: frontier_bytes / DP_ENTRY_BYTES,
-                    stats,
-                });
-            }
-        }
-        drop(kernel_span);
-        drop(fill_span);
-        if let Some(t) = trace {
-            t.counter("packed_bytes", packed_bytes.load(AtomicOrdering::Relaxed));
-        }
+        (0..size)
+            .step_by(part_len)
+            .map(|lo| {
+                let mut part = Pooled::<FTable>::take();
+                part.offsets.reserve((size - lo).min(part_len));
+                part
+            })
+            .collect()
     }
-    stats.peak_table_bytes = stats.peak_table_bytes.max(frontier_bytes);
 
-    let mut backtrack_span = span_in(trace, phase::BACKTRACK);
-    backtrack_span.arg("roots", structure.roots().len());
-    let points = backtrack_frontier(tables, &structure, &plans, &dp, width);
-    drop(backtrack_span);
-    recycle_dp(dp);
-
-    stats.elapsed = start.elapsed();
-    done(points, stats)
-}
-
-/// The only strategy of an empty graph: zero time, zero memory.
-pub(crate) fn empty_point() -> FrontierPoint {
-    FrontierPoint {
-        cost: 0.0,
-        memory_bytes: 0,
-        config_ids: vec![],
+    fn parts(out: &mut Vec<Pooled<FTable>>, _part_len: usize) -> impl Iterator<Item = &mut FTable> {
+        out.iter_mut().map(|part| &mut **part)
     }
-}
 
-/// A completed frontier fill: the frontier, with its min-time point as the
-/// `Found` outcome.
-fn done(points: Vec<FrontierPoint>, mut stats: SearchStats) -> Filled {
-    stats.frontier_len = points.len();
-    let best = &points[0];
-    let outcome = SearchOutcome::Found(SearchResult {
-        cost: best.cost,
-        config_ids: best.config_ids.clone(),
-        stats,
-    });
-    Filled {
-        outcome,
-        frontier: Some(StrategyFrontier::new(points)),
+    fn fill(
+        &self,
+        cx: &FillCx<'_, Self>,
+        scratch: &mut FrontierScratch,
+        start: u64,
+        len: usize,
+        part: &mut &mut FTable,
+    ) -> Result<(), GraphError> {
+        fill_chunk_frontier_tiled(
+            cx.tables, cx.plan, cx.pack, cx.dp, self.width, start, len, scratch, part,
+        )
     }
-}
 
-/// A fill the budget stopped: the outcome, no frontier.
-fn aborted(outcome: SearchOutcome) -> Filled {
-    Filled {
-        outcome,
-        frontier: None,
+    fn finish(mut out: Vec<Pooled<FTable>>) -> Pooled<FTable> {
+        if out.len() == 1 {
+            return out.pop().expect("one part");
+        }
+        let mut table = Pooled::<FTable>::take();
+        table
+            .offsets
+            .reserve(out.iter().map(|p| p.offsets.len() - 1).sum());
+        table.pts.reserve(out.iter().map(|p| p.pts.len()).sum());
+        table.kids.reserve(out.iter().map(|p| p.kids.len()).sum());
+        for part in &out {
+            table.append_table(part);
+        }
+        table
+    }
+
+    fn table_bytes(table: &FTable, n_children: usize) -> u64 {
+        table.pts.len() as u64 * (POINT_BYTES + 4 * n_children as u64)
+    }
+
+    fn backtrack(
+        &self,
+        tables: &CostTables,
+        structure: &VertexStructure,
+        plans: &[Plan],
+        dp: &[Option<Pooled<FTable>>],
+        mut stats: SearchStats,
+    ) -> Filled {
+        let points = backtrack_frontier(tables, structure, plans, dp, self.width);
+        stats.frontier_len = points.len();
+        let best = &points[0];
+        let outcome = SearchOutcome::Found(SearchResult {
+            cost: best.cost,
+            config_ids: best.config_ids.clone(),
+            stats,
+        });
+        Filled {
+            outcome,
+            frontier: Some(StrategyFrontier::new(points)),
+        }
     }
 }
 
@@ -1517,7 +1380,7 @@ pub(crate) fn backtrack_frontier(
     tables: &CostTables,
     structure: &VertexStructure,
     plans: &[Plan],
-    dp: &[Option<FTable>],
+    dp: &[Option<Pooled<FTable>>],
     width: usize,
 ) -> Vec<FrontierPoint> {
     let n = plans.len();
@@ -1591,9 +1454,10 @@ pub(crate) fn backtrack_frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::tests::with_threads;
     use crate::search::Search;
     use pase_cost::{MachineSpec, PruneOptions};
-    use pase_graph::{DimRole, GraphBuilder, IterDim, Node, OpKind, TensorRef};
+    use pase_graph::{DimRole, Graph, GraphBuilder, IterDim, Node, OpKind, TensorRef};
 
     fn fc(name: &str, ins: usize) -> Node {
         Node {
@@ -1724,10 +1588,10 @@ mod tests {
     }
 
     #[test]
-    fn both_schedulers_produce_the_same_frontier() {
+    fn thread_count_does_not_change_the_frontier() {
         let g = diamond();
-        let seq = Search::new(&g).devices(8).parallel(false).frontier().run();
-        let par = Search::new(&g).devices(8).parallel(true).frontier().run();
+        let run = |threads| with_threads(threads, || Search::new(&g).devices(8).frontier().run());
+        let (seq, par) = (run(1), run(4));
         let (sf, pf) = (seq.frontier().expect("seq"), par.frontier().expect("par"));
         assert_eq!(sf.len(), pf.len());
         for (a, b) in sf.points().iter().zip(pf.points()) {

@@ -67,7 +67,7 @@
 //!   outside the contract; real cost tables are finite and non-negative.)
 
 use crate::dp::{ChildCoef, FillChunk, Plan, Table};
-use crate::pool::Scratch;
+use crate::pool::{Pooled, Scratch};
 use pase_cost::CostTables;
 use pase_graph::GraphError;
 
@@ -462,20 +462,14 @@ pub(crate) struct PackedChild {
 
 /// Entry-invariant operands of one vertex's table fill, packed once by
 /// [`pack_vertex`] and shared read-only by every [`FillChunk`] of that
-/// table. The panel buffer is recycled to the thread pool on drop.
+/// table. The panel buffer returns to the thread pool on drop.
 pub(crate) struct PackedVertex {
-    panel: Vec<f64>,
+    panel: Pooled<Vec<f64>>,
     /// Per later-edge: the neighbor's digit slot and its row source.
     edges: Vec<(usize, EdgeRows)>,
     children: Vec<PackedChild>,
     /// Bytes copied into `panel` (the pase-obs `packed_bytes` counter).
     pub(crate) packed_bytes: u64,
-}
-
-impl Drop for PackedVertex {
-    fn drop(&mut self) {
-        crate::pool::recycle_panel(std::mem::take(&mut self.panel));
-    }
 }
 
 /// Pack one vertex's entry-invariant operands (see the module docs):
@@ -486,10 +480,10 @@ pub(crate) fn pack_vertex(
     tables: &CostTables,
     plan: &Plan,
     children: &[ChildCoef],
-    dp: &[Option<Table>],
+    dp: &[Option<Pooled<Table>>],
 ) -> PackedVertex {
     let kv = plan.kv as usize;
-    let mut panel = crate::pool::take_panel();
+    let mut panel = Pooled::<Vec<f64>>::take();
     let mut packed_bytes = 0u64;
 
     let edges = pack_edges(tables, plan, &mut panel, &mut packed_bytes);
@@ -563,7 +557,7 @@ pub(crate) fn fill_chunk_tiled(
     tables: &CostTables,
     plan: &Plan,
     packed: &PackedVertex,
-    dp: &[Option<Table>],
+    dp: &[Option<Pooled<Table>>],
     scratch: &mut Scratch,
     chunk: &mut FillChunk<'_>,
 ) -> Result<(), GraphError> {
@@ -584,10 +578,10 @@ pub(crate) fn fill_chunk_tiled(
     // Initial digit decode and child row offsets for the chunk's first
     // entry — the only div/mod decode in the whole chunk.
     digits.clear();
-    digits.resize(n_dep, 0);
-    for t in 0..n_dep {
-        digits[t] = ((chunk.start / plan.strides[t]) % u64::from(plan.radix[t])) as u16;
-    }
+    digits.extend(
+        (plan.strides.iter().zip(&plan.radix))
+            .map(|(&s, &r)| ((chunk.start / s) % u64::from(r)) as u16),
+    );
     child_base.clear();
     child_base.resize(n_children, 0);
     for (b, ch) in child_base.iter_mut().zip(&packed.children) {

@@ -1,24 +1,123 @@
 //! Thread-local buffer pools for the DP hot path.
 //!
-//! Every search allocates one `(Vec<f64>, Vec<u16>)` pair per DP table plus
-//! per-thread odometer scratch. A standalone search pays that once, but the
-//! planner service runs many small searches per second on a fixed worker
-//! pool — the same sizes over and over — so the allocations are pure churn.
-//! These pools recycle the buffers per thread: a serve worker's second
-//! request on a model reuses its first request's tables.
+//! Every search allocates one buffer set per DP table plus per-thread fill
+//! scratch and per-vertex operand panels. A standalone search pays that
+//! once, but the planner service runs many small searches per second on a
+//! fixed worker pool — the same sizes over and over — so the allocations
+//! are pure churn. These pools recycle the buffers per thread: a serve
+//! worker's second request on a model reuses its first request's tables.
 //!
-//! Reuse is bounded and safe:
-//! * table buffers are handed out zero-filled via `clear()` + `resize(…, 0)`
-//!   — content-identical to a fresh `vec![0; n]`, no `unsafe`;
-//! * only buffers of at most [`MAX_POOLED_ENTRIES`] entries are retained,
-//!   and at most [`MAX_POOLED_TABLES`] of them, so a worker thread never
-//!   pins more than ~26 MiB (the Transformer-p64-class giants are freed
-//!   normally);
+//! One mechanism serves every pooled type: a type implements [`Poolable`]
+//! (its thread-local free list, a reset hook, and a shed hook), and
+//! [`Pooled::take`] hands out a guard that returns the value to its free
+//! list on drop. Reuse is bounded and safe:
+//! * a recycled value is [`Poolable::reset`] before reuse (vectors come
+//!   back empty, so a `resize(…, 0)` is content-identical to a fresh
+//!   `vec![0; n]`) — no `unsafe`;
+//! * [`Poolable::shed`] releases any buffer grown past its cap
+//!   ([`MAX_POOLED_ENTRIES`] table entries, [`MAX_POOLED_PANEL`] panel or
+//!   scratch elements) and at most [`MAX_POOLED_TABLES`] values are kept
+//!   per type, so a worker thread never pins a one-off giant;
 //! * pools are `thread_local!`, so there is no locking and no cross-thread
 //!   aliasing.
 
-use crate::frontier::{FTable, FrontierScratch};
 use std::cell::RefCell;
+use std::thread::LocalKey;
+
+/// Retain at most this many values per pooled type per thread.
+const MAX_POOLED_TABLES: usize = 32;
+
+/// Do not retain kernel panel/accumulator scratch above this element count
+/// (2 MiB of `f64`): panels scale with `Σ kw·kv` over packed edges plus the
+/// transposed child tables, and a one-off giant vertex must not pin its
+/// high-water mark on the thread.
+pub(crate) const MAX_POOLED_PANEL: usize = 1 << 18;
+
+/// Do not retain tables above this capacity (entries, or frontier points):
+/// 2^18 entries is 2 MiB of `f64` + 0.5 MiB of `u16`, so the per-thread
+/// high-water mark is bounded at `MAX_POOLED_TABLES × 2.5 MiB`.
+pub(crate) const MAX_POOLED_ENTRIES: usize = 1 << 18;
+
+/// A type recycled through a thread-local pool (see the module docs).
+pub(crate) trait Poolable: Default + 'static {
+    /// This type's thread-local free list (declared by [`free_list!`]).
+    fn free_list() -> &'static LocalKey<RefCell<Vec<Self>>>;
+    /// Prepare a value for its next user.
+    fn reset(&mut self);
+    /// Release buffers grown past their cap before pooling; `false` frees
+    /// the whole value instead.
+    fn shed(&mut self) -> bool;
+}
+
+/// Declare the thread-local free list of a [`Poolable`] impl.
+macro_rules! free_list {
+    ($t:ty) => {
+        fn free_list() -> &'static std::thread::LocalKey<std::cell::RefCell<Vec<$t>>> {
+            thread_local! {
+                static FREE: std::cell::RefCell<Vec<$t>> =
+                    const { std::cell::RefCell::new(Vec::new()) };
+            }
+            &FREE
+        }
+    };
+}
+pub(crate) use free_list;
+
+/// Free `v`'s buffer if its capacity exceeds `cap`.
+pub(crate) fn shed_vec<T>(v: &mut Vec<T>, cap: usize) {
+    if v.capacity() > cap {
+        *v = Vec::new();
+    }
+}
+
+/// A pooled value: derefs to `T` and returns it to this thread's pool on
+/// drop.
+pub(crate) struct Pooled<T: Poolable>(T);
+
+impl<T: Poolable> Pooled<T> {
+    /// Take a reset value from this thread's pool (or a fresh one).
+    pub(crate) fn take() -> Self {
+        let mut v = T::free_list()
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_default();
+        v.reset();
+        Self(v)
+    }
+}
+
+impl<T: Poolable> From<T> for Pooled<T> {
+    /// Adopt a value built elsewhere; it joins the pool on drop.
+    fn from(v: T) -> Self {
+        Self(v)
+    }
+}
+
+impl<T: Poolable> std::ops::Deref for Pooled<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: Poolable> std::ops::DerefMut for Pooled<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+impl<T: Poolable> Drop for Pooled<T> {
+    fn drop(&mut self) {
+        let mut v = std::mem::take(&mut self.0);
+        if v.shed() {
+            T::free_list().with(|pool| {
+                let mut pool = pool.borrow_mut();
+                if pool.len() < MAX_POOLED_TABLES {
+                    pool.push(v);
+                }
+            });
+        }
+    }
+}
 
 /// Per-thread scratch buffers for the table-fill loop, grown on demand to
 /// the widest dependent set / child list a chunk needs. The last two
@@ -26,7 +125,7 @@ use std::cell::RefCell;
 /// `kv`-wide accumulator row and one `kv`-wide hoisted-prefix row. The
 /// scalar reference loop (`crate::reference`) leaves them empty. (The
 /// packed operand *panels* are not per-chunk scratch — they are packed
-/// once per vertex and shared by all of its chunks; see [`take_panel`].)
+/// once per vertex and shared by all of its chunks.)
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub(crate) digits: Vec<u16>,
@@ -39,280 +138,100 @@ pub(crate) struct Scratch {
     pub(crate) pre: Vec<f64>,
 }
 
-/// Retain at most this many `(costs, choice)` pairs per thread.
-const MAX_POOLED_TABLES: usize = 32;
-
-/// Do not retain kernel panel/accumulator scratch above this element count
-/// (2 MiB of `f64`): panels scale with `Σ kw·kv` over packed edges plus the
-/// transposed child tables, and a one-off giant vertex must not pin its
-/// high-water mark on the thread.
-const MAX_POOLED_PANEL: usize = 1 << 18;
-
-/// Do not retain buffers above this capacity (entries): 2^18 entries is
-/// 2 MiB of `f64` + 0.5 MiB of `u16`, so the per-thread high-water mark is
-/// bounded at `MAX_POOLED_TABLES × 2.5 MiB`.
-const MAX_POOLED_ENTRIES: usize = 1 << 18;
-
-thread_local! {
-    static SCRATCH: RefCell<Vec<Scratch>> = const { RefCell::new(Vec::new()) };
-    static TABLES: RefCell<Vec<(Vec<f64>, Vec<u16>)>> = const { RefCell::new(Vec::new()) };
-    static PANELS: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
-    static MEM_PANELS: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
-    static FRONTIER_SCRATCH: RefCell<Vec<FrontierScratch>> = const { RefCell::new(Vec::new()) };
-    static FRONTIER_TABLES: RefCell<Vec<FTable>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Take an empty panel buffer for the tiled kernel's per-vertex operand
-/// pack (recycled from this thread's pool when available).
-pub(crate) fn take_panel() -> Vec<f64> {
-    PANELS
-        .with(|pool| pool.borrow_mut().pop())
-        .map(|mut p| {
-            p.clear();
-            p
-        })
-        .unwrap_or_default()
-}
-
-/// Return a panel buffer to this thread's pool. Oversized (above
-/// [`MAX_POOLED_PANEL`] elements) or surplus buffers are freed instead.
-pub(crate) fn recycle_panel(panel: Vec<f64>) {
-    if panel.capacity() > MAX_POOLED_PANEL {
-        return;
-    }
-    PANELS.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < MAX_POOLED_TABLES {
-            pool.push(panel);
-        }
-    });
-}
-
-/// A pooled [`Scratch`] that returns itself to the thread's pool on drop.
-pub(crate) struct PooledScratch(Scratch);
-
-impl std::ops::Deref for PooledScratch {
-    type Target = Scratch;
-    fn deref(&self) -> &Scratch {
-        &self.0
+impl Poolable for Scratch {
+    free_list!(Scratch);
+    /// The fill clears what it uses, so content is irrelevant.
+    fn reset(&mut self) {}
+    fn shed(&mut self) -> bool {
+        shed_vec(&mut self.acc, MAX_POOLED_PANEL);
+        shed_vec(&mut self.pre, MAX_POOLED_PANEL);
+        true
     }
 }
 
-impl std::ops::DerefMut for PooledScratch {
-    fn deref_mut(&mut self) -> &mut Scratch {
-        &mut self.0
-    }
-}
-
-impl Drop for PooledScratch {
-    fn drop(&mut self) {
-        let mut s = std::mem::take(&mut self.0);
-        if s.acc.capacity() > MAX_POOLED_PANEL {
-            s.acc = Vec::new();
-        }
-        if s.pre.capacity() > MAX_POOLED_PANEL {
-            s.pre = Vec::new();
-        }
-        SCRATCH.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < MAX_POOLED_TABLES {
-                pool.push(s);
+/// Operand panels: `f64` time rows for both kernels, `u64` memory rows for
+/// the frontier microkernel.
+macro_rules! panel_poolable {
+    ($($t:ty),*) => {$(
+        impl Poolable for Vec<$t> {
+            free_list!(Vec<$t>);
+            fn reset(&mut self) {
+                self.clear();
             }
-        });
-    }
-}
-
-/// Take a scratch buffer from this thread's pool (or a fresh one).
-pub(crate) fn take_scratch() -> PooledScratch {
-    PooledScratch(
-        SCRATCH
-            .with(|pool| pool.borrow_mut().pop())
-            .unwrap_or_default(),
-    )
-}
-
-/// Take a zero-filled `(costs, choice)` pair of length `size` — recycled
-/// from this thread's pool when a buffer is available, freshly allocated
-/// otherwise. Content is identical to `(vec![0.0; size], vec![0; size])`.
-pub(crate) fn take_table(size: usize) -> (Vec<f64>, Vec<u16>) {
-    let pooled = TABLES.with(|pool| pool.borrow_mut().pop());
-    match pooled {
-        Some((mut costs, mut choice)) => {
-            costs.clear();
-            costs.resize(size, 0.0);
-            choice.clear();
-            choice.resize(size, 0);
-            (costs, choice)
-        }
-        None => (vec![0.0; size], vec![0; size]),
-    }
-}
-
-/// Return a `(costs, choice)` pair to this thread's pool. Oversized or
-/// surplus buffers are dropped (freed) instead of retained.
-pub(crate) fn recycle_table(costs: Vec<f64>, choice: Vec<u16>) {
-    if costs.capacity() > MAX_POOLED_ENTRIES {
-        return;
-    }
-    TABLES.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < MAX_POOLED_TABLES {
-            pool.push((costs, choice));
-        }
-    });
-}
-
-/// Take an empty `u64` panel for the frontier microkernel's packed
-/// memory rows (the memory-side companion of [`take_panel`]).
-pub(crate) fn take_mem_panel() -> Vec<u64> {
-    MEM_PANELS
-        .with(|pool| pool.borrow_mut().pop())
-        .map(|mut p| {
-            p.clear();
-            p
-        })
-        .unwrap_or_default()
-}
-
-/// Return a memory panel to this thread's pool, under the same
-/// [`MAX_POOLED_PANEL`] element cap as the `f64` panels.
-pub(crate) fn recycle_mem_panel(panel: Vec<u64>) {
-    if panel.capacity() > MAX_POOLED_PANEL {
-        return;
-    }
-    MEM_PANELS.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < MAX_POOLED_TABLES {
-            pool.push(panel);
-        }
-    });
-}
-
-/// A pooled [`FrontierScratch`] that returns itself to the thread's pool
-/// on drop, shedding any buffer grown past [`MAX_POOLED_PANEL`] elements
-/// first (the frontier fill's arenas scale with `kv × width`, but a
-/// width-0 exact search can grow them arbitrarily).
-pub(crate) struct PooledFrontierScratch(FrontierScratch);
-
-impl std::ops::Deref for PooledFrontierScratch {
-    type Target = FrontierScratch;
-    fn deref(&self) -> &FrontierScratch {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for PooledFrontierScratch {
-    fn deref_mut(&mut self) -> &mut FrontierScratch {
-        &mut self.0
-    }
-}
-
-impl Drop for PooledFrontierScratch {
-    fn drop(&mut self) {
-        let mut s = std::mem::take(&mut self.0);
-        s.shed_oversized(MAX_POOLED_PANEL);
-        FRONTIER_SCRATCH.with(|pool| {
-            let mut pool = pool.borrow_mut();
-            if pool.len() < MAX_POOLED_TABLES {
-                pool.push(s);
+            fn shed(&mut self) -> bool {
+                self.capacity() <= MAX_POOLED_PANEL
             }
-        });
-    }
-}
-
-/// Take a frontier-fill scratch from this thread's pool (or a fresh one).
-pub(crate) fn take_frontier_scratch() -> PooledFrontierScratch {
-    PooledFrontierScratch(
-        FRONTIER_SCRATCH
-            .with(|pool| pool.borrow_mut().pop())
-            .unwrap_or_default(),
-    )
-}
-
-/// Take an empty frontier table primed for `n` entries — recycled
-/// capacity when available, with the offsets sentinel already pushed.
-pub(crate) fn take_ftable(n: usize) -> FTable {
-    let mut t = FRONTIER_TABLES
-        .with(|pool| pool.borrow_mut().pop())
-        .unwrap_or_default();
-    t.reset(n);
-    t
-}
-
-/// Return a frontier table's buffers to this thread's pool. Oversized
-/// (above [`MAX_POOLED_ENTRIES`] points) or surplus tables are freed.
-pub(crate) fn recycle_ftable(t: FTable) {
-    if t.pts.capacity() > MAX_POOLED_ENTRIES
-        || t.kids.capacity() > MAX_POOLED_ENTRIES
-        || t.offsets.capacity() > MAX_POOLED_ENTRIES
-    {
-        return;
-    }
-    FRONTIER_TABLES.with(|pool| {
-        let mut pool = pool.borrow_mut();
-        if pool.len() < MAX_POOLED_TABLES {
-            pool.push(t);
         }
-    });
+    )*};
 }
+panel_poolable!(f64, u64);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::Table;
+    use crate::frontier::{FTable, FrontierScratch};
+
+    fn pooled_len<T: Poolable>() -> usize {
+        T::free_list().with(|pool| pool.borrow().len())
+    }
 
     #[test]
     fn recycled_tables_come_back_zeroed() {
-        let (mut costs, mut choice) = take_table(8);
-        costs.fill(7.5);
-        choice.fill(3);
-        recycle_table(costs, choice);
-        let (costs, choice) = take_table(16);
-        assert_eq!(costs.len(), 16);
-        assert_eq!(choice.len(), 16);
-        assert!(costs.iter().all(|&c| c == 0.0));
-        assert!(choice.iter().all(|&c| c == 0));
+        let mut t = Pooled::<Table>::take();
+        t.costs.resize(8, 7.5);
+        t.choice.resize(8, 3);
+        drop(t);
+        let mut t = Pooled::<Table>::take();
+        t.costs.resize(16, 0.0);
+        t.choice.resize(16, 0);
+        assert_eq!(t.costs.len(), 16);
+        assert_eq!(t.choice.len(), 16);
+        assert!(t.costs.iter().all(|&c| c == 0.0));
+        assert!(t.choice.iter().all(|&c| c == 0));
     }
 
     #[test]
     fn oversized_buffers_are_not_retained() {
-        recycle_table(
-            vec![0.0; MAX_POOLED_ENTRIES + 1],
-            vec![0; MAX_POOLED_ENTRIES + 1],
-        );
-        TABLES.with(|pool| {
+        let mut t = Pooled::<Table>::take();
+        t.costs = vec![0.0; MAX_POOLED_ENTRIES + 1];
+        t.choice = vec![0; MAX_POOLED_ENTRIES + 1];
+        drop(t);
+        Table::free_list().with(|pool| {
             assert!(pool
                 .borrow()
                 .iter()
-                .all(|(c, _)| c.capacity() <= MAX_POOLED_ENTRIES));
+                .all(|t| t.costs.capacity() <= MAX_POOLED_ENTRIES));
         });
     }
 
     #[test]
     fn pool_size_is_bounded() {
-        for _ in 0..3 * MAX_POOLED_TABLES {
-            recycle_table(vec![0.0; 4], vec![0; 4]);
-        }
-        TABLES.with(|pool| assert!(pool.borrow().len() <= MAX_POOLED_TABLES));
-        for _ in 0..3 * MAX_POOLED_TABLES {
-            let _ = take_scratch();
-        }
-        SCRATCH.with(|pool| assert!(pool.borrow().len() <= MAX_POOLED_TABLES));
+        let tables: Vec<Pooled<Table>> = (0..3 * MAX_POOLED_TABLES)
+            .map(|_| Pooled::from(Table::default()))
+            .collect();
+        drop(tables);
+        assert!(pooled_len::<Table>() <= MAX_POOLED_TABLES);
+        let scratch: Vec<Pooled<Scratch>> =
+            (0..3 * MAX_POOLED_TABLES).map(|_| Pooled::take()).collect();
+        drop(scratch);
+        assert!(pooled_len::<Scratch>() <= MAX_POOLED_TABLES);
     }
 
     #[test]
     fn oversized_panels_are_dropped_on_recycle() {
         {
-            let mut s = take_scratch();
+            let mut s = Pooled::<Scratch>::take();
             s.acc.resize(MAX_POOLED_PANEL + 1, 0.0);
         } // dropped → pooled, but with the giant accumulator released
-        SCRATCH.with(|pool| {
+        Scratch::free_list().with(|pool| {
             assert!(pool
                 .borrow()
                 .iter()
                 .all(|s| s.acc.capacity() <= MAX_POOLED_PANEL));
         });
-        recycle_panel(vec![0.0; MAX_POOLED_PANEL + 1]);
-        PANELS.with(|pool| {
+        drop(Pooled::from(vec![0.0f64; MAX_POOLED_PANEL + 1]));
+        Vec::<f64>::free_list().with(|pool| {
             assert!(pool
                 .borrow()
                 .iter()
@@ -322,43 +241,44 @@ mod tests {
 
     #[test]
     fn panels_round_trip_and_come_back_empty() {
-        let mut p = take_panel();
+        let mut p = Pooled::<Vec<f64>>::take();
         p.extend_from_slice(&[1.0, 2.0, 3.0]);
-        recycle_panel(p);
-        let p = take_panel();
+        drop(p);
+        let p = Pooled::<Vec<f64>>::take();
         assert!(p.is_empty(), "recycled panels must be cleared");
-        for _ in 0..3 * MAX_POOLED_TABLES {
-            recycle_panel(vec![0.0; 4]);
-        }
-        PANELS.with(|pool| assert!(pool.borrow().len() <= MAX_POOLED_TABLES));
+        let panels: Vec<Pooled<Vec<f64>>> = (0..3 * MAX_POOLED_TABLES)
+            .map(|_| Pooled::from(vec![0.0; 4]))
+            .collect();
+        drop(panels);
+        assert!(pooled_len::<Vec<f64>>() <= MAX_POOLED_TABLES);
     }
 
     #[test]
     fn frontier_buffers_round_trip_through_the_pool() {
-        let mut t = take_ftable(4);
+        let mut t = Pooled::<FTable>::take();
         assert_eq!(t.offsets, vec![0u32]);
         t.pts.reserve(8);
-        recycle_ftable(t);
-        let t2 = take_ftable(2);
+        drop(t);
+        let t2 = Pooled::<FTable>::take();
         assert_eq!(t2.offsets, vec![0u32]);
         assert!(t2.pts.is_empty() && t2.kids.is_empty());
-        recycle_ftable(t2);
-        for _ in 0..3 * MAX_POOLED_TABLES {
-            let _ = take_frontier_scratch();
-        }
-        FRONTIER_SCRATCH.with(|pool| assert!(pool.borrow().len() <= MAX_POOLED_TABLES));
-        recycle_mem_panel(vec![0; MAX_POOLED_PANEL + 1]);
-        MEM_PANELS.with(|pool| {
+        drop(t2);
+        let scratch: Vec<Pooled<FrontierScratch>> =
+            (0..3 * MAX_POOLED_TABLES).map(|_| Pooled::take()).collect();
+        drop(scratch);
+        assert!(pooled_len::<FrontierScratch>() <= MAX_POOLED_TABLES);
+        drop(Pooled::from(vec![0u64; MAX_POOLED_PANEL + 1]));
+        Vec::<u64>::free_list().with(|pool| {
             assert!(pool
                 .borrow()
                 .iter()
                 .all(|p| p.capacity() <= MAX_POOLED_PANEL));
         });
-        let mut p = take_mem_panel();
+        let mut p = Pooled::<Vec<u64>>::take();
         p.push(7);
-        recycle_mem_panel(p);
+        drop(p);
         assert!(
-            take_mem_panel().is_empty(),
+            Pooled::<Vec<u64>>::take().is_empty(),
             "recycled mem panels are cleared"
         );
     }
@@ -366,11 +286,11 @@ mod tests {
     #[test]
     fn scratch_round_trips_through_the_pool() {
         {
-            let mut s = take_scratch();
+            let mut s = Pooled::<Scratch>::take();
             s.digits.resize(5, 1);
             s.child_base.resize(5, 2);
         } // dropped → pooled
-        let s = take_scratch();
+        let s = Pooled::<Scratch>::take();
         // Capacity may be reused; the DP clears before use, so content is
         // irrelevant — only that we got a scratch at all.
         let _ = (s.digits.capacity(), s.child_base.capacity());

@@ -24,13 +24,11 @@
 //! single-threaded and are meant for tests and the `bench_search` A/B
 //! timings, not for serving.
 
-use crate::budget::{SearchOutcome, SearchResult};
+use crate::budget::SearchResult;
 use crate::dp::{self, child_coefs, ChildCoef, DpOptions, FillChunk, Plan, Prepared, Table};
-use crate::frontier::{
-    backtrack_frontier, empty_point, thin_frontier, FTable, MergeRun, Pt, StrategyFrontier,
-};
+use crate::frontier::{backtrack_frontier, thin_frontier, FTable, MergeRun, Pt, StrategyFrontier};
 use crate::kernel;
-use crate::pool::Scratch;
+use crate::pool::{Pooled, Scratch};
 use pase_cost::CostTables;
 use pase_graph::{Graph, GraphError};
 use pase_obs::{phase, span_in, OptSpan, Trace};
@@ -47,13 +45,10 @@ pub fn scalar_search(graph: &Graph, tables: &CostTables, trace: Option<&Trace>) 
         plans,
         mut stats,
         ..
-    } = match dp::prepare(graph, tables, &DpOptions::default(), trace, None, "scalar") {
-        Ok(p) => p,
-        Err(outcome) => return expect_found(outcome),
-    };
+    } = prepare(graph, tables, trace, "scalar");
     let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
     fill_span.arg("tables", plans.len());
-    let mut dp: Vec<Option<Table>> = (0..plans.len()).map(|_| None).collect();
+    let mut dp: Vec<Option<Pooled<Table>>> = (0..plans.len()).map(|_| None).collect();
     let mut scratch = Scratch::default();
     for (i, plan) in plans.iter().enumerate() {
         let size = plan.size as usize;
@@ -65,17 +60,16 @@ pub fn scalar_search(graph: &Graph, tables: &CostTables, trace: Option<&Trace>) 
             &dp,
             &mut scratch,
             &mut FillChunk {
-                plan_idx: i,
                 start: 0,
                 costs: &mut costs,
                 choice: &mut choice,
             },
         )
         .expect("the reference fill plan is well formed");
-        dp[i] = Some(Table::new(plan, costs, choice));
+        dp[i] = Some(Table { costs, choice }.into());
     }
     drop(fill_span);
-    let (cost, config_ids) = dp::backtrack(&structure, &dp);
+    let (cost, config_ids) = dp::backtrack(&structure, &plans, &dp);
     stats.elapsed = start.elapsed();
     SearchResult {
         cost,
@@ -98,28 +92,16 @@ pub fn frontier(
 ) -> StrategyFrontier {
     let Prepared {
         structure, plans, ..
-    } = match dp::prepare(
-        graph,
-        tables,
-        &DpOptions::default(),
-        trace,
-        None,
-        "frontier",
-    ) {
-        Ok(p) => p,
-        Err(outcome) => {
-            expect_found(outcome);
-            return StrategyFrontier::new(vec![empty_point()]);
-        }
-    };
+    } = prepare(graph, tables, trace, "frontier");
     let mut fill_span = span_in(trace, phase::SEQUENTIAL_FILL);
     fill_span.arg("tables", plans.len());
-    let mut dp: Vec<Option<FTable>> = (0..plans.len()).map(|_| None).collect();
+    let mut dp: Vec<Option<Pooled<FTable>>> = (0..plans.len()).map(|_| None).collect();
     let mut scratch = EntryScratch::default();
     for (i, plan) in plans.iter().enumerate() {
         let children = child_coefs(&plans, &structure, i);
         let mut table = FTable::default();
-        table.reset(plan.size as usize);
+        table.offsets.reserve(plan.size as usize + 1);
+        table.offsets.push(0);
         for flat in 0..plan.size {
             fill_entry(
                 tables,
@@ -132,19 +114,22 @@ pub fn frontier(
                 &mut table,
             );
         }
-        dp[i] = Some(table);
+        dp[i] = Some(table.into());
     }
     drop(fill_span);
     StrategyFrontier::new(backtrack_frontier(tables, &structure, &plans, &dp, width))
 }
 
-/// The reference drivers run on the default budget; anything but the
-/// empty graph's trivial `Found` before the fill is a misuse.
-fn expect_found(outcome: SearchOutcome) -> SearchResult {
-    match outcome {
-        SearchOutcome::Found(r) => r,
-        other => panic!("reference search ended {} before the fill", other.tag()),
-    }
+/// The production prelude on the default options; the reference drivers
+/// run on the default budget, so a plan-pass abort is a misuse.
+fn prepare(
+    graph: &Graph,
+    tables: &CostTables,
+    trace: Option<&Trace>,
+    engine: &'static str,
+) -> Prepared {
+    dp::prepare(graph, tables, &DpOptions::default(), trace, None, engine)
+        .unwrap_or_else(|o| panic!("reference search ended {} before the fill", o.tag()))
 }
 
 /// The scalar fill: decodes the first index once, then advances the digit
@@ -154,7 +139,7 @@ fn fill_chunk_scalar(
     tables: &CostTables,
     plan: &Plan,
     children: &[ChildCoef],
-    dp: &[Option<Table>],
+    dp: &[Option<Pooled<Table>>],
     scratch: &mut Scratch,
     chunk: &mut FillChunk<'_>,
 ) -> Result<(), GraphError> {
@@ -269,7 +254,7 @@ fn fill_entry(
     tables: &CostTables,
     plan: &Plan,
     children: &[ChildCoef],
-    dp: &[Option<FTable>],
+    dp: &[Option<Pooled<FTable>>],
     flat: u64,
     width: usize,
     s: &mut EntryScratch,
@@ -490,6 +475,7 @@ fn merge_pruned_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::tests::with_threads;
     use crate::frontier::{merge_run_batched, prune_pareto, Cand};
     use crate::Search;
     use pase_cost::{ConfigRule, MachineSpec};
@@ -541,12 +527,10 @@ mod tests {
             let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
             let oracle = scalar_search(&g, &tables, None);
             assert_eq!(oracle.stats.dp_kernel, "scalar");
-            for parallel in [false, true] {
-                let tiled = Search::new(&g)
-                    .tables(&tables)
-                    .parallel(parallel)
-                    .run()
-                    .expect_found("tiled");
+            for threads in [1, 4] {
+                let tiled = with_threads(threads, || {
+                    Search::new(&g).tables(&tables).run().expect_found("tiled")
+                });
                 assert_eq!(tiled.cost.to_bits(), oracle.cost.to_bits());
                 assert_eq!(tiled.config_ids, oracle.config_ids);
                 assert_eq!(tiled.stats.dp_kernel, "tiled");
@@ -560,13 +544,14 @@ mod tests {
         let tables = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
         for width in [0usize, 2, 8] {
             let oracle = frontier(&g, &tables, width, None);
-            for parallel in [false, true] {
-                let tiled = Search::new(&g)
-                    .tables(&tables)
-                    .parallel(parallel)
-                    .frontier()
-                    .frontier_width(width)
-                    .run();
+            for threads in [1, 4] {
+                let tiled = with_threads(threads, || {
+                    Search::new(&g)
+                        .tables(&tables)
+                        .frontier()
+                        .frontier_width(width)
+                        .run()
+                });
                 assert_eq!(
                     tiled.result().expect("tiled").stats.dp_kernel,
                     "frontier-tiled"

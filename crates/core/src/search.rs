@@ -21,9 +21,9 @@
 //! mesh.
 
 use crate::budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats};
-use crate::dp::{self, build_structure, run_with_structure, DpOptions};
+use crate::dp::{build_structure, drive, DpOptions, DpValue, MinTime};
 use crate::error::Error;
-use crate::frontier::{self, run_frontier_with_structure, StrategyFrontier};
+use crate::frontier::{Pareto, StrategyFrontier};
 use crate::gate::{self, PruneGate};
 use crate::ordering::OrderingKind;
 use crate::structure::{ConnectedSetMode, VertexStructure};
@@ -178,13 +178,6 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Wavefront-parallel table fill on or off (default on; both schedules
-    /// are bit-identical).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.dp.parallel = parallel;
-        self
-    }
-
     /// Cost-table construction options (interning, parallel build).
     pub fn table_options(mut self, opts: TableOptions) -> Self {
         self.table_opts = opts;
@@ -313,10 +306,18 @@ impl<'a> Search<'a> {
                 }
             }
         };
+        let filled = if self.frontier_mode() {
+            let value = Pareto {
+                width: self.dp.frontier_width,
+            };
+            self.fill(&value, tables.get(), popts, prebuilt)
+        } else {
+            self.fill(&MinTime, tables.get(), popts, prebuilt)
+        };
         let Filled {
             mut outcome,
             frontier,
-        } = match self.fill(tables.get(), popts, prebuilt) {
+        } = match filled {
             Ok(filled) => filled,
             Err(e) => {
                 return SearchRun {
@@ -330,7 +331,7 @@ impl<'a> Search<'a> {
             // Unconstrained: the min-time point (bit-identical to the
             // scalar optimum). Constrained: the cheapest point that fits,
             // or Infeasible when none does.
-            let stats = stats_of(&mut outcome).clone();
+            let stats = outcome.stats_mut().clone();
             let picked = match self.max_memory_bytes {
                 Some(b) => frontier.cheapest_within(b),
                 None => Some(frontier.min_time()),
@@ -353,7 +354,7 @@ impl<'a> Search<'a> {
             r.stats.peak_strategy_bytes = tables.get().strategy_memory_bytes(&r.config_ids);
         }
         apply_gate_stats(&mut outcome, gate_stats);
-        stats_of(&mut outcome).mesh_axes = tables.get().mesh().axes.len();
+        outcome.stats_mut().mesh_axes = tables.get().mesh().axes.len();
         SearchRun {
             outcome: Ok(outcome),
             tables,
@@ -361,8 +362,14 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Run the engine this search asks for — scalar or frontier — on
-    /// `tables`, behind the dominance prune when `popts` is set.
+    /// Whether this search fills Pareto frontiers rather than scalar
+    /// tables.
+    fn frontier_mode(&self) -> bool {
+        self.want_frontier || self.max_memory_bytes.is_some()
+    }
+
+    /// Run the DP driver over `value` — the scalar or the frontier DP
+    /// value — on `tables`, behind the dominance prune when `popts` is set.
     ///
     /// The prune (a [`pase_obs::phase::PRUNE`] span) compacts the tables
     /// first — every dependent-set table is `∏ |C(w)|` entries wide, so the
@@ -386,41 +393,23 @@ impl<'a> Search<'a> {
     /// could fire first and mislabel the failure. A prebuilt structure is
     /// table-independent, so the one the adaptive gate built drives the
     /// pruned engine unchanged.
-    fn fill(
+    fn fill<V: DpValue>(
         &self,
+        value: &V,
         tables: &CostTables,
         popts: Option<PruneOptions>,
         prebuilt: Option<VertexStructure>,
     ) -> Result<Filled, GraphError> {
-        let frontier_mode = self.want_frontier || self.max_memory_bytes.is_some();
-        let engine = |tables: &CostTables, opts: &DpOptions, prebuilt| {
-            if frontier_mode {
-                Ok(run_frontier_with_structure(
-                    self.graph, tables, opts, self.trace, prebuilt,
-                ))
-            } else {
-                run_with_structure(self.graph, tables, opts, self.trace, prebuilt).map(|outcome| {
-                    Filled {
-                        outcome,
-                        frontier: None,
-                    }
-                })
-            }
-        };
         let Some(mut popts) = popts else {
-            return engine(tables, &self.dp, prebuilt);
+            return drive(value, self.graph, tables, &self.dp, self.trace, prebuilt);
         };
-        popts.memory_aware |= frontier_mode;
+        popts.memory_aware |= self.frontier_mode();
         let pruned = PrunedTables::build_traced(self.graph, tables, &popts, self.trace);
         let ps = *pruned.stats();
         let mut filled = if ps.elapsed >= self.dp.budget.max_time {
             let stats = SearchStats {
                 max_configs: pruned.tables().max_k(),
-                dp_kernel: if frontier_mode {
-                    frontier::ENGINE
-                } else {
-                    dp::ENGINE
-                },
+                dp_kernel: V::ENGINE,
                 ..SearchStats::default()
             };
             Filled {
@@ -430,7 +419,14 @@ impl<'a> Search<'a> {
         } else {
             let mut remaining = self.dp;
             remaining.budget.max_time -= ps.elapsed;
-            engine(pruned.tables(), &remaining, prebuilt)?
+            drive(
+                value,
+                self.graph,
+                pruned.tables(),
+                &remaining,
+                self.trace,
+                prebuilt,
+            )?
         };
         if let SearchOutcome::Found(r) = &mut filled.outcome {
             r.config_ids = pruned.to_original_ids(&r.config_ids);
@@ -438,7 +434,7 @@ impl<'a> Search<'a> {
         for p in filled.frontier.iter_mut().flat_map(|f| f.points_mut()) {
             p.config_ids = pruned.to_original_ids(&p.config_ids);
         }
-        let stats = stats_of(&mut filled.outcome);
+        let stats = filled.outcome.stats_mut();
         stats.k_before = ps.k_before;
         stats.prune_time = ps.elapsed;
         stats.elapsed += ps.elapsed;
@@ -454,21 +450,11 @@ pub(crate) struct Filled {
     pub(crate) frontier: Option<StrategyFrontier>,
 }
 
-/// The stats of whichever variant the outcome carries.
-fn stats_of(outcome: &mut SearchOutcome) -> &mut SearchStats {
-    match outcome {
-        SearchOutcome::Found(r) => &mut r.stats,
-        SearchOutcome::Oom { stats, .. }
-        | SearchOutcome::Timeout { stats }
-        | SearchOutcome::Infeasible { stats, .. } => stats,
-    }
-}
-
 /// Fold the `PruneGate::Auto` telemetry into whichever stats the outcome
 /// carries (no-op when the gate did not run).
 fn apply_gate_stats(outcome: &mut SearchOutcome, gate_stats: Option<(bool, u64, u64)>) {
     if let Some((skipped, dp_est, prune_est)) = gate_stats {
-        let stats = stats_of(outcome);
+        let stats = outcome.stats_mut();
         stats.prune_skipped = skipped;
         stats.gate_dp_est = dp_est;
         stats.gate_prune_est = prune_est;
@@ -594,6 +580,7 @@ impl<'a> SearchRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::tests::with_threads;
     use pase_graph::{DimRole, GraphBuilder, IterDim, Node, OpKind, TensorRef};
 
     fn fc(name: &str, ins: usize) -> Node {
@@ -655,7 +642,7 @@ mod tests {
         let space = ConfigSpace::build(&g, &rule);
         let m = MachineSpec::test_machine();
         let with_space = Search::new(&g)
-            .rule(rule.clone())
+            .rule(rule)
             .machine(m.clone())
             .space(&space)
             .run()
@@ -698,17 +685,13 @@ mod tests {
     #[test]
     fn frontier_min_time_is_bit_identical_to_the_scalar_optimum() {
         let g = chain2();
-        for parallel in [false, true] {
-            let scalar = Search::new(&g)
-                .devices(8)
-                .parallel(parallel)
-                .run()
-                .expect_found("scalar");
-            let run = Search::new(&g)
-                .devices(8)
-                .parallel(parallel)
-                .frontier()
-                .run();
+        for threads in [1, 4] {
+            let (scalar, run) = with_threads(threads, || {
+                (
+                    Search::new(&g).devices(8).run().expect_found("scalar"),
+                    Search::new(&g).devices(8).frontier().run(),
+                )
+            });
             let r = run.result().expect("frontier");
             assert_eq!(r.cost.to_bits(), scalar.cost.to_bits());
             assert_eq!(r.stats.dp_kernel, "frontier-tiled");
@@ -773,6 +756,45 @@ mod tests {
             other => panic!("expected Err(Oom), got {other:?}"),
         }
         assert!(run.frontier().is_none());
+    }
+
+    #[test]
+    fn frontier_points_over_the_byte_cap_abort_the_fill() {
+        // The plan pass accounts 10 bytes per entry, but every frontier
+        // entry holds at least one 18-byte point: a budget of exactly the
+        // accounted entries passes the plan pass (the scalar search fits
+        // in it) and trips the driver's byte check during the fill.
+        let g = chain2();
+        let entries = Search::new(&g)
+            .devices(8)
+            .frontier()
+            .run()
+            .result()
+            .expect("unbounded")
+            .stats
+            .table_entries;
+        let budget = SearchBudget::with_max_entries(entries);
+        for threads in [1, 4] {
+            let (scalar, run) = with_threads(threads, || {
+                (
+                    Search::new(&g).devices(8).budget(budget).run(),
+                    Search::new(&g).devices(8).frontier().budget(budget).run(),
+                )
+            });
+            assert!(scalar.result().is_ok(), "the scalar tables fit the cap");
+            match run.result() {
+                Err(Error::Oom {
+                    needed_entries,
+                    stats,
+                }) => {
+                    assert!(needed_entries > entries);
+                    assert_eq!(stats.table_entries, entries, "the plan pass completed");
+                    assert!(stats.peak_table_bytes >= budget.max_table_bytes());
+                }
+                other => panic!("expected Err(Oom), got {other:?}"),
+            }
+            assert!(run.frontier().is_none());
+        }
     }
 
     /// A zero time budget behind the exact prune: the prune alone uses up

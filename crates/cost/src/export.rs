@@ -50,7 +50,7 @@ pub fn to_sharding_json_with(graph: &Graph, strategy: &Strategy, extra: &[(&str,
     let mut out = String::with_capacity(128 * graph.len());
     out.push_str("{\n");
     for (key, value) in extra {
-        let _ = write!(out, "  \"{}\": {value},\n", escape(key));
+        let _ = writeln!(out, "  \"{}\": {value},", escape(key));
     }
     let devices = strategy.max_devices_used();
     let _ = write!(out, "  \"devices\": {devices},\n  \"layers\": [\n");

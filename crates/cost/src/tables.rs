@@ -372,7 +372,7 @@ impl CostTables {
         // Phase 2 — configuration enumeration, once per layer class.
         let mut span = span_in(trace, phase::ENUMERATION);
         let rep_configs: Vec<Vec<Config>> =
-            map_maybe_par(layer_reps.clone(), opts.parallel, |v| configs_for(v));
+            map_maybe_par(layer_reps.clone(), opts.parallel, configs_for);
         span.arg("tables", rep_configs.len());
         span.arg(
             "configs",

@@ -378,10 +378,7 @@ impl Server {
                     // A send can only fail if all workers died; surface
                     // that as a server error rather than spinning.
                     if tx.send(stream).is_err() {
-                        return Err(std::io::Error::new(
-                            ErrorKind::Other,
-                            "worker pool terminated unexpectedly",
-                        ));
+                        return Err(std::io::Error::other("worker pool terminated unexpectedly"));
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),

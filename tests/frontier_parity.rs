@@ -1,6 +1,6 @@
 //! Frontier parity: the Pareto-frontier DP must be a **pure
 //! generalization** of the scalar DP. Two contracts, checked for the
-//! production microkernel under both schedulers (rayon and sequential) and
+//! production microkernel on a 1-thread and a multi-worker rayon pool and
 //! for the incremental reference fill (`pase_core::reference::frontier`):
 //!
 //! (a) the frontier's min-time point is bit-identical (`to_bits`, not a
@@ -27,6 +27,15 @@ use proptest::prelude::*;
 
 /// The per-state frontier width the frontier engine uses by default.
 const DEFAULT_WIDTH: usize = 8;
+
+/// Run `f` on a rayon pool capped at `threads` workers.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool")
+        .install(f)
+}
 
 fn fc_node(name: &str, batch: u64, out_w: u64, in_w: u64, ins: usize) -> Node {
     let dims = vec![
@@ -77,14 +86,14 @@ fn random_graph(widths: &[u64], skips: &[bool]) -> Graph {
 fn frontier_run(
     g: &Graph,
     tables: &CostTables,
-    parallel: bool,
+    threads: usize,
     max_memory: Option<u64>,
 ) -> (SearchOutcome, Option<StrategyFrontier>) {
-    let mut search = Search::new(g).tables(tables).parallel(parallel).frontier();
+    let mut search = Search::new(g).tables(tables).frontier();
     if let Some(bytes) = max_memory {
         search = search.max_memory_bytes(bytes);
     }
-    let run = search.run();
+    let run = with_threads(threads, || search.run());
     let frontier = run.frontier().cloned();
     (run.into_outcome(), frontier)
 }
@@ -95,11 +104,11 @@ fn assert_budget_answer(
     label: &str,
     g: &Graph,
     tables: &CostTables,
-    parallel: bool,
+    threads: usize,
     frontier: &StrategyFrontier,
     budget: u64,
 ) {
-    let (outcome, _) = frontier_run(g, tables, parallel, Some(budget));
+    let (outcome, _) = frontier_run(g, tables, threads, Some(budget));
     match frontier.cheapest_within(budget) {
         Some(expected) => {
             let r = outcome.found().unwrap_or_else(|| {
@@ -161,7 +170,7 @@ fn assert_min_time_parity(label: &str, f: &StrategyFrontier, optimum: f64) {
 }
 
 /// Both contracts: (a) for the incremental reference fill and for the
-/// production fill under each listed scheduler, (b) for the production
+/// production fill at each listed thread count, (b) for the production
 /// fill. `probes` sets how much of contract (b) runs — every budget probe
 /// pays a full frontier fill, so the heaviest cells dial it down:
 /// 0 = contract (a) only; 1 = the two boundary regimes (the memory floor
@@ -171,19 +180,17 @@ fn assert_frontier_parity(
     label: &str,
     g: &Graph,
     tables: &CostTables,
-    schedulers: &[bool],
+    thread_counts: &[usize],
     probes: u8,
 ) {
     let optimum = reference::scalar_search(g, tables, None).cost;
     let oracle = reference::frontier(g, tables, DEFAULT_WIDTH, None);
     assert_min_time_parity(&format!("{label} (reference)"), &oracle, optimum);
-    for &parallel in schedulers {
-        let label = format!("{label} (parallel={parallel})");
-        let scalar = Search::new(g)
-            .tables(tables)
-            .parallel(parallel)
-            .run()
-            .into_outcome();
+    for &threads in thread_counts {
+        let label = format!("{label} (threads={threads})");
+        let scalar = with_threads(threads, || {
+            Search::new(g).tables(tables).run().into_outcome()
+        });
         let s = scalar
             .found()
             .unwrap_or_else(|| panic!("{label}: scalar search failed"));
@@ -194,7 +201,7 @@ fn assert_frontier_parity(
             s.cost
         );
 
-        let (outcome, frontier) = frontier_run(g, tables, parallel, None);
+        let (outcome, frontier) = frontier_run(g, tables, threads, None);
         let f = frontier.unwrap_or_else(|| panic!("{label}: no frontier"));
         let r = outcome
             .found()
@@ -218,14 +225,14 @@ fn assert_frontier_parity(
         // fits.
         if probes >= 1 {
             let floor = f.min_memory_bytes();
-            assert_budget_answer(&label, g, tables, parallel, &f, floor);
+            assert_budget_answer(&label, g, tables, threads, &f, floor);
             if floor > 0 {
-                assert_budget_answer(&label, g, tables, parallel, &f, floor - 1);
+                assert_budget_answer(&label, g, tables, threads, &f, floor - 1);
             }
         }
         if probes >= 2 {
             for pt in f.points() {
-                assert_budget_answer(&label, g, tables, parallel, &f, pt.memory_bytes);
+                assert_budget_answer(&label, g, tables, threads, &f, pt.memory_bytes);
             }
         }
     }
@@ -239,18 +246,18 @@ fn assert_set_identical_to_the_oracle_exact(
     label: &str,
     g: &Graph,
     tables: &CostTables,
-    parallel: bool,
+    threads: usize,
 ) {
     let a = reference::frontier(g, tables, 0, None);
-    let b = Search::new(g)
-        .tables(tables)
-        .parallel(parallel)
-        .frontier_width(0)
-        .frontier()
-        .run()
-        .frontier()
-        .cloned()
-        .unwrap_or_else(|| panic!("{label}: no width-0 frontier"));
+    let b = with_threads(threads, || {
+        Search::new(g)
+            .tables(tables)
+            .frontier_width(0)
+            .frontier()
+            .run()
+            .into_frontier()
+    })
+    .unwrap_or_else(|| panic!("{label}: no width-0 frontier"));
     assert_eq!(
         a.len(),
         b.len(),
@@ -281,9 +288,9 @@ fn assert_shares_the_oracle_memory_floor(
     label: &str,
     g: &Graph,
     tables: &CostTables,
-    parallel: bool,
+    threads: usize,
 ) {
-    let tiled = frontier_run(g, tables, parallel, None)
+    let tiled = frontier_run(g, tables, threads, None)
         .1
         .unwrap_or_else(|| panic!("{label}: no frontier"));
     assert_eq!(
@@ -297,7 +304,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Frontier == scalar on random DAGs for the reference fill and the
-    /// microkernel under both schedulers, with budget answers equal to the
+    /// microkernel at one and at several threads, with budget answers equal to the
     /// cheapest fitting frontier point at every exact point memory.
     #[test]
     fn frontier_matches_scalar_on_random_dags(
@@ -307,11 +314,11 @@ proptest! {
     ) {
         let g = random_graph(&widths, &skips);
         let tables = CostTables::build(&g, ConfigRule::new(p), &MachineSpec::test_machine());
-        assert_frontier_parity("random dag", &g, &tables, &[false, true], 2);
-        for parallel in [false, true] {
-            let label = format!("random dag (parallel={parallel})");
-            assert_set_identical_to_the_oracle_exact(&label, &g, &tables, parallel);
-            assert_shares_the_oracle_memory_floor(&label, &g, &tables, parallel);
+        assert_frontier_parity("random dag", &g, &tables, &[1, 4], 2);
+        for threads in [1, 4] {
+            let label = format!("random dag (threads={threads})");
+            assert_set_identical_to_the_oracle_exact(&label, &g, &tables, threads);
+            assert_shares_the_oracle_memory_floor(&label, &g, &tables, threads);
         }
     }
 }
@@ -319,11 +326,11 @@ proptest! {
 /// The acceptance grid: frontier min-time == scalar optimum on AlexNet,
 /// InceptionV3, RNNLM, and Transformer at p ∈ {8, 32, 64} (tiny variants
 /// keep the debug-mode DP feasible, as in `parity.rs`). Each cell checks
-/// the reference fill and the microkernel under both schedulers.
+/// the reference fill and the microkernel at one and at several threads.
 ///
 /// InceptionV3's dense concat blocks make its frontier fill by far the
 /// grid's most expensive (tens of seconds per reference fill in debug at
-/// p ≥ 32), so debug builds cover it at p = 8 under one scheduler and
+/// p ≥ 32), so debug builds cover it at p = 8 at one thread count and
 /// leave the full InceptionV3 column to release runs — `bench_search`
 /// asserts min-time bit-parity on every grid cell in release on every
 /// tier-1 run.
@@ -339,19 +346,21 @@ fn frontier_matches_scalar_on_paper_benchmarks() {
             }
             let tables = CostTables::build(&graph, ConfigRule::new(p), &machine);
             let label = format!("{} p={p}", bench.name());
-            let rot = (b + i) % 2 == 0;
-            let schedulers: &[bool] = if cfg!(debug_assertions) && inception {
-                &[rot]
+            // Alternate which thread count goes first (or alone).
+            let (first, second) = if (b + i) % 2 == 0 { (4, 1) } else { (1, 4) };
+            let thread_counts: &[usize] = if cfg!(debug_assertions) && inception {
+                &[first]
             } else {
-                &[rot, !rot]
+                &[first, second]
             };
-            assert_frontier_parity(&label, &graph, &tables, schedulers, 1);
+            assert_frontier_parity(&label, &graph, &tables, thread_counts, 1);
             // The cross-fill exactness contracts, on the cheapest cell of
             // each model's column (width-0 fills disable thinning, so they
             // are the grid's most expensive runs).
             if p == 8 && !(cfg!(debug_assertions) && inception) {
-                assert_set_identical_to_the_oracle_exact(&label, &graph, &tables, b % 2 == 0);
-                assert_shares_the_oracle_memory_floor(&label, &graph, &tables, b % 2 == 1);
+                let (exact, floor) = if b % 2 == 0 { (4, 1) } else { (1, 4) };
+                assert_set_identical_to_the_oracle_exact(&label, &graph, &tables, exact);
+                assert_shares_the_oracle_memory_floor(&label, &graph, &tables, floor);
             }
         }
     }

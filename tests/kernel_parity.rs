@@ -3,7 +3,7 @@
 //! (`pase_core::reference::scalar_search`) — same optimal cost (compared
 //! via `to_bits`, not a tolerance) and the same per-node configuration ids
 //! — on random DAGs and on all four paper benchmarks across device counts,
-//! under both schedulers. This is the contract that makes the tiled
+//! at one and at several worker threads. This is the contract that makes the tiled
 //! microkernel a pure performance change: the packed panels preserve the
 //! scalar loop's exact f64 addition order (layer cost, then later edges in
 //! order, then children in order), blocked `min` over non-NaN costs equals
@@ -67,34 +67,40 @@ fn random_graph(widths: &[u64], skips: &[bool]) -> Graph {
     b.build().expect("kernel-parity graph builds")
 }
 
-fn run(g: &Graph, tables: &CostTables, parallel: bool) -> SearchOutcome {
-    Search::new(g)
-        .tables(tables)
-        .parallel(parallel)
-        .run()
-        .into_outcome()
+/// Run `f` on a rayon pool capped at `threads` workers.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool")
+        .install(f)
 }
 
-/// Run the production search in both the rayon and the sequential
-/// scheduler (which take different code paths to the same tiled fill) and
-/// require results bit-identical to the scalar reference loop's.
+fn run(g: &Graph, tables: &CostTables, threads: usize) -> SearchOutcome {
+    with_threads(threads, || {
+        Search::new(g).tables(tables).run().into_outcome()
+    })
+}
+
+/// Run the production search on a multi-worker and a 1-thread rayon pool
+/// and require results bit-identical to the scalar reference loop's.
 fn assert_kernel_parity(label: &str, g: &Graph, tables: &CostTables) {
     let s = reference::scalar_search(g, tables, None);
-    for parallel in [true, false] {
-        let tiled = run(g, tables, parallel);
+    for threads in [4, 1] {
+        let tiled = run(g, tables, threads);
         let t = tiled
             .found()
-            .unwrap_or_else(|| panic!("{label}: tiled search failed (parallel={parallel})"));
+            .unwrap_or_else(|| panic!("{label}: tiled search failed (threads={threads})"));
         assert_eq!(
             s.cost.to_bits(),
             t.cost.to_bits(),
-            "{label} (parallel={parallel}): tiled cost {} != scalar cost {}",
+            "{label} (threads={threads}): tiled cost {} != scalar cost {}",
             t.cost,
             s.cost
         );
         assert_eq!(
             s.config_ids, t.config_ids,
-            "{label} (parallel={parallel}): tiled strategy differs from scalar"
+            "{label} (threads={threads}): tiled strategy differs from scalar"
         );
     }
 }

@@ -8,8 +8,8 @@
 //!   deliberately untouched by the mesh refactor so they stay a fixed
 //!   reference);
 //! * *search level*: the DP over flat-mesh tables returns the same cost
-//!   bits and the same strategy under both schedulers (wavefront-parallel
-//!   and sequential) as the scalar reference loop
+//!   bits and the same strategy on a 1-thread and a multi-worker rayon
+//!   pool as the scalar reference loop
 //!   (`pase_core::reference::scalar_search`).
 //!
 //! Covered on proptest-random skip DAGs and on all four paper benchmarks
@@ -101,30 +101,37 @@ fn assert_tables_match_scalar(label: &str, graph: &Graph, tables: &CostTables, m
     }
 }
 
-/// Run the DP over the given tables under both schedulers and assert both
-/// outcomes are bit-identical to the scalar reference loop's. Returns the
-/// wavefront-parallel outcome.
+/// Run `f` on a rayon pool capped at `threads` workers.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("thread pool")
+        .install(f)
+}
+
+/// Run the DP over the given tables on a multi-worker and a 1-thread rayon
+/// pool and assert both outcomes are bit-identical to the scalar reference
+/// loop's. Returns the multi-worker outcome.
 fn assert_dp_combos_agree(label: &str, graph: &Graph, tables: &CostTables) -> SearchOutcome {
     let want = reference::scalar_search(graph, tables, None);
-    let mut outcomes: Vec<SearchOutcome> = [true, false]
+    let mut outcomes: Vec<SearchOutcome> = [4, 1]
         .into_iter()
-        .map(|parallel| {
-            let outcome = Search::new(graph)
-                .tables(tables)
-                .parallel(parallel)
-                .run()
-                .into_outcome();
+        .map(|threads| {
+            let outcome = with_threads(threads, || {
+                Search::new(graph).tables(tables).run().into_outcome()
+            });
             let got = outcome
                 .found()
-                .unwrap_or_else(|| panic!("{label}: parallel={parallel} failed"));
+                .unwrap_or_else(|| panic!("{label}: threads={threads} failed"));
             assert_eq!(
                 want.cost.to_bits(),
                 got.cost.to_bits(),
-                "{label}: parallel={parallel} cost diverges from the scalar oracle"
+                "{label}: threads={threads} cost diverges from the scalar oracle"
             );
             assert_eq!(
                 want.config_ids, got.config_ids,
-                "{label}: parallel={parallel} strategy diverges from the scalar oracle"
+                "{label}: threads={threads} strategy diverges from the scalar oracle"
             );
             outcome
         })
@@ -136,7 +143,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Flat mesh == scalar model on random skip DAGs, at table level and
-    /// through the DP under every kernel/scheduler combination.
+    /// through the DP at one and at several worker threads.
     #[test]
     fn flat_mesh_is_bit_identical_on_random_dags(
         widths in prop::collection::vec(prop::sample::select(vec![16u64, 32, 64]), 2..7),
