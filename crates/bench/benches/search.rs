@@ -19,19 +19,24 @@ fn bench_table_build(c: &mut Criterion) {
         b.iter(|| CostTables::build(&g, ConfigRule::new(8), &machine))
     });
     // A/B baseline: the pre-interning build path (every node and edge gets
-    // its own table, built sequentially).
+    // its own table, built on one thread).
+    let single = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
     c.bench_function("cost_tables_uninterned/inception_v3/p8", |b| {
         b.iter(|| {
-            CostTables::build_with(
-                &g,
-                ConfigRule::new(8),
-                &machine,
-                &TableOptions {
-                    intern: false,
-                    parallel: false,
-                    ..TableOptions::default()
-                },
-            )
+            single.install(|| {
+                CostTables::build_with(
+                    &g,
+                    ConfigRule::new(8),
+                    &machine,
+                    &TableOptions {
+                        intern: false,
+                        ..TableOptions::default()
+                    },
+                )
+            })
         })
     });
 }

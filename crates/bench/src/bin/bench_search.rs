@@ -81,9 +81,9 @@ fn median_of(samples: usize, mut f: impl FnMut() -> f64) -> f64 {
 
 fn main() {
     let machine = MachineSpec::gtx1080ti();
+    // The baseline build is uninterned and runs on one thread.
     let baseline_tables = TableOptions {
         intern: false,
-        parallel: false,
         ..TableOptions::default()
     };
     let optimized_tables = TableOptions::default();
@@ -107,7 +107,8 @@ fn main() {
             let rule = ConfigRule::new(p);
 
             let build_base = median_secs(samples, || {
-                CostTables::build_with(&g, rule, &machine, &baseline_tables)
+                single_thread
+                    .install(|| CostTables::build_with(&g, rule, &machine, &baseline_tables))
             });
             let build_opt = median_secs(samples, || {
                 CostTables::build_with(&g, rule, &machine, &optimized_tables)

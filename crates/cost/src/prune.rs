@@ -63,8 +63,6 @@ pub struct PruneOptions {
     /// the pruned optimum is bit-identical to the unpruned one. Positive
     /// values prune harder but only bound the optimum within `(1 + ε)`.
     pub epsilon: f64,
-    /// Run the per-signature dominance checks in parallel.
-    pub parallel: bool,
     /// Also require `memory_bytes(c') ≤ memory_bytes(c)` for `c'` to
     /// dominate `c` (always exact on the memory coordinate — ε applies to
     /// costs only). The frontier search needs this: a time-dominator with
@@ -78,7 +76,6 @@ impl Default for PruneOptions {
     fn default() -> Self {
         Self {
             epsilon: 0.0,
-            parallel: true,
             memory_aware: false,
         }
     }
@@ -304,14 +301,10 @@ impl PrunedTables {
                 .collect();
             keep_set(layer, &views, opts.epsilon, opts.memory_aware)
         };
-        let keep_of_sig: Vec<Vec<u16>> = if opts.parallel && sigs.len() > 1 {
-            (0..sigs.len())
-                .into_par_iter()
-                .map(|i| compute(&sigs[i]))
-                .collect()
-        } else {
-            sigs.iter().map(compute).collect()
-        };
+        let keep_of_sig: Vec<Vec<u16>> = (0..sigs.len())
+            .into_par_iter()
+            .map(|i| compute(&sigs[i]))
+            .collect();
 
         // Compact the layer pool: one entry per signature (signatures
         // refine the structural node classes, so interning survives).
@@ -612,15 +605,15 @@ mod tests {
     #[test]
     fn parallel_and_sequential_pruning_agree() {
         let (g, t) = chain(5, 16);
-        let par = PrunedTables::build(&g, &t, &PruneOptions::default());
-        let seq = PrunedTables::build(
-            &g,
-            &t,
-            &PruneOptions {
-                parallel: false,
-                ..PruneOptions::default()
-            },
-        );
+        let with_threads = |n| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .expect("thread pool")
+                .install(|| PrunedTables::build(&g, &t, &PruneOptions::default()))
+        };
+        let seq = with_threads(1);
+        let par = with_threads(4);
         for v in g.node_ids() {
             assert_eq!(par.kept_ids(v), seq.kept_ids(v));
         }

@@ -42,8 +42,6 @@ pub struct TableOptions {
     /// could share (AlexNet/RNNLM regress with 0% hit rate), so interning is
     /// skipped below this size. Set to 0 to always intern.
     pub intern_min_nodes: usize,
-    /// Compute distinct tables in parallel.
-    pub parallel: bool,
 }
 
 impl Default for TableOptions {
@@ -51,7 +49,6 @@ impl Default for TableOptions {
         Self {
             intern: true,
             intern_min_nodes: 16,
-            parallel: true,
         }
     }
 }
@@ -194,20 +191,6 @@ impl std::error::Error for NonFiniteCost {}
 pub(crate) struct EdgeTable {
     pub(crate) k_dst: u32,
     pub(crate) costs: Vec<f64>,
-}
-
-/// Map `items` through `f`, in parallel when asked and worthwhile.
-fn map_maybe_par<T, U, F>(items: Vec<T>, parallel: bool, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    if parallel && items.len() > 1 {
-        items.into_par_iter().map(f).collect()
-    } else {
-        items.into_iter().map(f).collect()
-    }
 }
 
 /// Precomputed configuration lists and cost tables for a (graph, rule,
@@ -371,8 +354,11 @@ impl CostTables {
 
         // Phase 2 — configuration enumeration, once per layer class.
         let mut span = span_in(trace, phase::ENUMERATION);
-        let rep_configs: Vec<Vec<Config>> =
-            map_maybe_par(layer_reps.clone(), opts.parallel, configs_for);
+        let rep_configs: Vec<Vec<Config>> = layer_reps
+            .clone()
+            .into_par_iter()
+            .map(configs_for)
+            .collect();
         span.arg("tables", rep_configs.len());
         span.arg(
             "configs",
@@ -383,10 +369,12 @@ impl CostTables {
         // Phase 3 — cost-table fill: layer-cost vectors, then edge
         // transfer matrices over the enumerated configuration lists.
         let mut span = span_in(trace, phase::TABLE_BUILD);
-        let layer_pool: Vec<LayerEntry> = map_maybe_par(
-            layer_reps.into_iter().zip(rep_configs).collect(),
-            opts.parallel,
-            |(v, configs)| {
+        let layer_pool: Vec<LayerEntry> = layer_reps
+            .into_iter()
+            .zip(rep_configs)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|(v, configs)| {
                 let n = graph.node(v);
                 let costs = configs
                     .iter()
@@ -401,32 +389,35 @@ impl CostTables {
                     costs,
                     mem,
                 }
-            },
-        );
-        let edge_pool: Vec<EdgeTable> = map_maybe_par(edge_reps, opts.parallel, |eid| {
-            let e = graph.edge(eid);
-            let src = graph.node(e.src);
-            let dst = graph.node(e.dst);
-            let cu_list = &layer_pool[node_class[e.src.index()] as usize].configs;
-            let cv_list = &layer_pool[node_class[e.dst.index()] as usize].configs;
-            let mut costs = Vec::with_capacity(cu_list.len() * cv_list.len());
-            for cu in cu_list {
-                for cv in cv_list {
-                    costs.push(mesh_transfer_cost(
-                        src,
-                        cu,
-                        dst,
-                        e.dst_slot as usize,
-                        cv,
-                        mesh,
-                    ));
+            })
+            .collect();
+        let edge_pool: Vec<EdgeTable> = edge_reps
+            .into_par_iter()
+            .map(|eid| {
+                let e = graph.edge(eid);
+                let src = graph.node(e.src);
+                let dst = graph.node(e.dst);
+                let cu_list = &layer_pool[node_class[e.src.index()] as usize].configs;
+                let cv_list = &layer_pool[node_class[e.dst.index()] as usize].configs;
+                let mut costs = Vec::with_capacity(cu_list.len() * cv_list.len());
+                for cu in cu_list {
+                    for cv in cv_list {
+                        costs.push(mesh_transfer_cost(
+                            src,
+                            cu,
+                            dst,
+                            e.dst_slot as usize,
+                            cv,
+                            mesh,
+                        ));
+                    }
                 }
-            }
-            EdgeTable {
-                k_dst: cv_list.len() as u32,
-                costs,
-            }
-        });
+                EdgeTable {
+                    k_dst: cv_list.len() as u32,
+                    costs,
+                }
+            })
+            .collect();
         if span.is_some() {
             let entries = layer_pool.iter().map(|t| t.costs.len()).sum::<usize>()
                 + edge_pool.iter().map(|t| t.costs.len()).sum::<usize>();
@@ -777,16 +768,22 @@ mod tests {
         let rule = ConfigRule::new(8);
         let m = MachineSpec::test_machine();
         let interned = CostTables::build_with(&g, rule, &m, &always_intern());
-        let plain = CostTables::build_with(
-            &g,
-            rule,
-            &m,
-            &TableOptions {
-                intern: false,
-                parallel: false,
-                ..TableOptions::default()
-            },
-        );
+        // The plain build runs on one thread, like the old sequential path.
+        let plain = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("thread pool")
+            .install(|| {
+                CostTables::build_with(
+                    &g,
+                    rule,
+                    &m,
+                    &TableOptions {
+                        intern: false,
+                        ..TableOptions::default()
+                    },
+                )
+            });
         assert_eq!(plain.intern_stats().hit_rate(), 0.0);
         for v in g.node_ids() {
             assert_eq!(interned.k(v), plain.k(v));

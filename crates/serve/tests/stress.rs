@@ -156,3 +156,73 @@ fn concurrent_identical_and_distinct_queries_under_persistence() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two clients released together send distinct cold requests to a
+/// 2-worker server, so both workers run a search at once and issue their
+/// parallel operations into the shared helper pool concurrently. Each
+/// answer must equal a 1-thread search of the same request bit for bit.
+#[test]
+fn concurrent_cold_searches_match_single_thread_searches() {
+    use pase_core::Search;
+    use pase_cost::{ConfigRule, DeviceMesh, MachineSpec};
+
+    let (addr, handle, join) = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let single = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
+    for (round, p) in [4u32, 8, 16].into_iter().enumerate() {
+        let models = ["rnnlm", "transformer"];
+        let start = Arc::new(Barrier::new(models.len()));
+        let clients: Vec<_> = models
+            .iter()
+            .map(|&model| {
+                let start = Arc::clone(&start);
+                let line = format!(
+                    "{{\"model\": \"{model}\", \"devices\": {p}, \"machine\": \"test\", \
+                     \"weak_scaling\": false}}"
+                );
+                std::thread::spawn(move || {
+                    start.wait();
+                    query(addr, &line)
+                })
+            })
+            .collect();
+        for (model, client) in models.iter().zip(clients) {
+            let v = client.join().expect("client");
+            assert_eq!(v.get("cached").and_then(|c| c.as_bool()), Some(false));
+            let graph = pase_models::build_named(model, p, false).expect("model");
+            let oracle = single
+                .install(|| {
+                    Search::new(&graph)
+                        .rule(ConfigRule::new(p))
+                        .mesh(DeviceMesh::flat(&MachineSpec::test_machine()))
+                        .run()
+                })
+                .expect_found("oracle search");
+            let cost = v.get("cost").and_then(|c| c.as_f64()).expect("cost");
+            assert_eq!(
+                cost.to_bits(),
+                oracle.cost.to_bits(),
+                "round {round}: {model} p={p} cost"
+            );
+            let ids: Vec<u16> = v
+                .get("strategy")
+                .and_then(|s| s.as_array())
+                .expect("strategy")
+                .iter()
+                .map(|id| u16::try_from(id.as_u64().expect("id")).expect("u16 id"))
+                .collect();
+            assert_eq!(
+                ids, oracle.config_ids,
+                "round {round}: {model} p={p} config_ids"
+            );
+        }
+    }
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    assert_eq!(summary.cache_misses, 6, "every request was a cold search");
+}

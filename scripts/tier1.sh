@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q
+# The vendored rayon stub's pool tests (helper panics, nested ops under a
+# cap, concurrent callers, withdrawn queue entries) in an optimized build;
+# the root package's `cargo test` does not run member crates' tests.
+cargo test -q --release -p rayon
 
 # Smoke: regenerates BENCH_search.json; fails if pruning ever changes the
 # optimum on any model at p ∈ {8, 32, 64}.

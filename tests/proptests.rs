@@ -224,18 +224,22 @@ proptest! {
         let machine = MachineSpec::test_machine();
         // intern_min_nodes: 0 — random DAGs here are below the default size
         // gate, and this test is specifically about interning correctness.
-        let interned = CostTables::build_with(
-            &g,
-            ConfigRule::new(8),
-            &machine,
-            &TableOptions { intern: true, intern_min_nodes: 0, parallel: false },
-        );
-        let plain = CostTables::build_with(
-            &g,
-            ConfigRule::new(8),
-            &machine,
-            &TableOptions { intern: false, parallel: false, ..TableOptions::default() },
-        );
+        let single = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("thread pool");
+        let (interned, plain) = single.install(|| {
+            let interned = CostTables::build_with(
+                &g,
+                ConfigRule::new(8),
+                &machine,
+                &TableOptions { intern: true, intern_min_nodes: 0 },
+            );
+            let plain = CostTables::build_with(
+                &g,
+                ConfigRule::new(8),
+                &machine,
+                &TableOptions { intern: false, ..TableOptions::default() },
+            );
+            (interned, plain)
+        });
         for v in g.node_ids() {
             prop_assert_eq!(interned.k(v), plain.k(v));
             prop_assert_eq!(interned.configs_of(v), plain.configs_of(v));
