@@ -172,7 +172,9 @@ mod tests {
             inputs: (0..ins)
                 .map(|_| TensorRef::new(vec![0, 1, 2, 3], vec![64, 16, 32, 32]))
                 .collect(),
-            output: TensorRef::new(vec![0, 4, 2, 3], vec![64, 32, 32, 32]),
+            // Flattened to (b, n·h·w), as the zoo's flattening pool does,
+            // so the conv → fc edge joins tensors of equal rank.
+            output: TensorRef::new(vec![0, 4], vec![64, 32 * 32 * 32]),
             params: vec![TensorRef::new(vec![4, 1, 5, 6], vec![32, 16, 3, 3])],
         }
     }

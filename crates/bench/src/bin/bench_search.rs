@@ -30,10 +30,15 @@
 //!   cells; the traced microkernel run's `SearchReport` is emitted per
 //!   cell as `frontier_report`.
 //!
+//! * the whole search end to end (`end_to_end_s`), as `pase search` runs
+//!   it: graph build, cost tables, the prune gate, the prune when the gate
+//!   keeps it, the DP fill and the backtrack — so each layer above can be
+//!   read against the request it is part of.
+//!
 //! Medians are written to `BENCH_search.json`. Mirrors the criterion
 //! benches but runs in seconds, so it can gate a PR.
 
-use pase_core::{reference, Search, SearchReport};
+use pase_core::{reference, PruneGate, Search, SearchReport};
 use pase_cost::{
     ConfigRule, CostTables, DeviceMesh, MachineSpec, PruneOptions, PrunedTables, TableOptions,
 };
@@ -120,6 +125,18 @@ fn main() {
             });
             let pruned = PrunedTables::build(&g, &tables, &PruneOptions::default());
             let ps = *pruned.stats();
+
+            let end_to_end = median_secs(samples, || {
+                let g = bench.build_for(p);
+                Search::new(&g)
+                    .devices(p)
+                    .machine(machine.clone())
+                    .pruning(PruneOptions::default())
+                    .prune_gate(PruneGate::Auto)
+                    .run()
+                    .expect_found(bench.name())
+                    .cost
+            });
 
             let search_plain = median_secs(samples, || Search::new(&g).tables(&tables).run());
             let search_pruned =
@@ -305,9 +322,10 @@ fn main() {
             let hit = tables.intern_stats().hit_rate_opt();
             let hit_pct = hit.map_or_else(|| "n/a".to_string(), |h| format!("{:.0}%", h * 100.0));
             println!(
-                "{:<12} p={:<3} cost_tables {:.2}ms -> {:.2}ms ({:.2}x)   prune {:.2}ms ΣK {} -> {} (max {} -> {})   search {:.2}ms -> {:.2}ms ({:.2}x)   dp_fill(1t) scalar {:.2}ms -> tiled {:.2}ms ({:.2}x)   frontier {:.2}ms -> tiled {:.2}ms ({:.2}x, {} points)   mesh flat {:.4e} -> tiered {:.4e}{}   intern hit {}",
+                "{:<12} p={:<3} end_to_end {:.2}ms   cost_tables {:.2}ms -> {:.2}ms ({:.2}x)   prune {:.2}ms ΣK {} -> {} (max {} -> {})   search {:.2}ms -> {:.2}ms ({:.2}x)   dp_fill(1t) scalar {:.2}ms -> tiled {:.2}ms ({:.2}x)   frontier {:.2}ms -> tiled {:.2}ms ({:.2}x, {} points)   mesh flat {:.4e} -> tiered {:.4e}{}   intern hit {}",
                 bench.name(),
                 p,
+                end_to_end * 1e3,
                 build_base * 1e3,
                 build_opt * 1e3,
                 build_base / build_opt.max(1e-12),
@@ -341,7 +359,7 @@ fn main() {
             let hit_json = hit.map_or_else(|| "null".to_string(), |h| format!("{h:.4}"));
             let _ = write!(
                 json,
-                "      \"p{p}\": {{\n        \"samples\": {samples},\n        \"cost_tables\": {{\"baseline_s\": {:.6}, \"optimized_s\": {:.6}}},\n        \"prune\": {{\"prune_s\": {:.6}, \"k_before\": {}, \"k_after\": {}, \"max_k_before\": {}, \"max_k_after\": {}}},\n        \"search\": {{\"unpruned_s\": {:.6}, \"pruned_s\": {:.6}}},\n        \"dp_fill\": {{\"dp_fill_scalar_s\": {:.6}, \"dp_fill_tiled_s\": {:.6}, \"dp_fill_frontier_s\": {dp_fill_frontier_s:.6}, \"dp_fill_frontier_tiled_s\": {dp_fill_frontier_tiled_s:.6}}},\n        \"frontier_len\": {frontier_len},\n        \"frontier_report\": {},\n        \"mesh\": {{\"flat_cost\": {}, \"tiered_cost\": {}, \"tiered_axes\": {}, \"tiered_s\": {mesh_tiered_s:.6}, \"diverged\": {cell_diverged}, \"strategy_moved\": {strategy_moved}}},\n        \"intern_hit_rate\": {hit_json},\n        \"search_report\": {}\n      }}{}\n",
+                "      \"p{p}\": {{\n        \"samples\": {samples},\n        \"cost_tables\": {{\"baseline_s\": {:.6}, \"optimized_s\": {:.6}}},\n        \"prune\": {{\"prune_s\": {:.6}, \"k_before\": {}, \"k_after\": {}, \"max_k_before\": {}, \"max_k_after\": {}}},\n        \"search\": {{\"unpruned_s\": {:.6}, \"pruned_s\": {:.6}, \"end_to_end_s\": {end_to_end:.6}}},\n        \"dp_fill\": {{\"dp_fill_scalar_s\": {:.6}, \"dp_fill_tiled_s\": {:.6}, \"dp_fill_frontier_s\": {dp_fill_frontier_s:.6}, \"dp_fill_frontier_tiled_s\": {dp_fill_frontier_tiled_s:.6}}},\n        \"frontier_len\": {frontier_len},\n        \"frontier_report\": {},\n        \"mesh\": {{\"flat_cost\": {}, \"tiered_cost\": {}, \"tiered_axes\": {}, \"tiered_s\": {mesh_tiered_s:.6}, \"diverged\": {cell_diverged}, \"strategy_moved\": {strategy_moved}}},\n        \"intern_hit_rate\": {hit_json},\n        \"search_report\": {}\n      }}{}\n",
                 build_base,
                 build_opt,
                 prune_s,

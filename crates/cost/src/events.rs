@@ -9,7 +9,7 @@
 //! inter-node) under the canonical placement.
 
 use crate::comm::{all_gather_bytes, all_reduce_bytes};
-use crate::config::Config;
+use crate::config::{Config, MAX_RANK};
 use crate::sharding::{replication, shard_bytes};
 use pase_graph::{DimRole, Node, OpKind};
 
@@ -62,11 +62,54 @@ impl CommEvent {
     /// Per-device traffic in bytes under bandwidth-optimal ring algorithms
     /// (what the flat analytical model charges).
     pub fn traffic_bytes(&self) -> f64 {
-        match self.collective {
-            Collective::AllReduce => all_reduce_bytes(self.volume, self.group),
-            Collective::AllGather => all_gather_bytes(self.volume, self.group),
-            Collective::PointToPoint => self.volume,
+        traffic_bytes(self.collective, self.volume, self.group)
+    }
+}
+
+/// Per-device ring traffic of a `volume`-byte `collective` over `group`
+/// devices ([`CommEvent::traffic_bytes`] without the event).
+pub(crate) fn traffic_bytes(collective: Collective, volume: f64, group: u32) -> f64 {
+    match collective {
+        Collective::AllReduce => all_reduce_bytes(volume, group),
+        Collective::AllGather => all_gather_bytes(volume, group),
+        Collective::PointToPoint => volume,
+    }
+}
+
+/// One event as [`for_each_comm_event`] reports it: a [`CommEvent`] whose
+/// `group_dims` live in a stack buffer instead of a `Vec`.
+pub(crate) struct EventRef<'a> {
+    pub(crate) kind: CommKind,
+    pub(crate) collective: Collective,
+    pub(crate) volume: f64,
+    pub(crate) group_dims: &'a [u32],
+    pub(crate) group: u32,
+}
+
+/// A fixed-capacity list of iteration-dim indices (a configured node has at
+/// most [`MAX_RANK`] dimensions).
+#[derive(Default)]
+struct DimList {
+    buf: [u32; MAX_RANK],
+    len: usize,
+}
+
+impl DimList {
+    fn push(&mut self, d: u32) {
+        self.buf[self.len] = d;
+        self.len += 1;
+    }
+
+    fn of(node: &Node, name: &str) -> Self {
+        let mut dims = Self::default();
+        if let Some(i) = node.dim_index(name) {
+            dims.push(i as u32);
         }
+        dims
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        &self.buf[..self.len]
     }
 }
 
@@ -80,18 +123,19 @@ fn size_of(node: &Node, name: &str) -> f64 {
     node.dim_size(name).map_or(1.0, |s| s as f64)
 }
 
-fn dim_idx(node: &Node, name: &str) -> Vec<u32> {
-    node.dim_index(name)
-        .map(|i| vec![i as u32])
-        .unwrap_or_default()
-}
-
 /// Compute FLOPs of `node` under `cfg`: the forward+backward work divided
 /// across `∏ c_i` devices, inflated by the pipeline-bubble factor for the
 /// single-vertex RNN operator.
 pub fn layer_compute_flops(node: &Node, cfg: &Config) -> f64 {
-    let parts = cfg.product() as f64;
-    let mut compute = node.step_flops() / parts;
+    compute_flops(node, node.step_flops(), cfg.product(), cfg)
+}
+
+/// [`layer_compute_flops`] with the node's `step_flops` and the
+/// configuration's `product` supplied by the caller (the table fill reads
+/// both once per class and configuration).
+pub(crate) fn compute_flops(node: &Node, step_flops: f64, product: u64, cfg: &Config) -> f64 {
+    let parts = product as f64;
+    let mut compute = step_flops / parts;
     if let OpKind::Lstm { .. } = node.op {
         let p_stages = f64::from(split_of(node, cfg, "l") * split_of(node, cfg, "s"));
         if p_stages > 1.0 {
@@ -105,11 +149,26 @@ pub fn layer_compute_flops(node: &Node, cfg: &Config) -> f64 {
 /// All intra-layer communication events of `node` under `cfg`.
 pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
     let mut events = Vec::new();
+    for_each_comm_event(node, cfg, |e| {
+        events.push(CommEvent {
+            kind: e.kind,
+            collective: e.collective,
+            volume: e.volume,
+            group_dims: e.group_dims.to_vec(),
+            group: e.group,
+        });
+    });
+    events
+}
 
+/// Report every event of [`layer_comm_events`], in the same order and with
+/// the same values, to `emit` without allocating: the cost-table fill
+/// calls this once per configuration.
+pub(crate) fn for_each_comm_event(node: &Node, cfg: &Config, mut emit: impl FnMut(&EventRef<'_>)) {
     // Partial-sum reduction of split contraction dims (not mapped to the
     // output; Pipeline dims are staging decisions, not contractions).
     let mut red_group = 1u64;
-    let mut red_dims = Vec::new();
+    let mut red_dims = DimList::default();
     for (i, d) in node.iter_space.iter().enumerate() {
         if d.role == DimRole::Reduction && !node.output.maps_dim(i as u32) && cfg.split(i) > 1 {
             red_group *= u64::from(cfg.split(i));
@@ -117,11 +176,11 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
         }
     }
     if red_group > 1 {
-        events.push(CommEvent {
+        emit(&EventRef {
             kind: CommKind::PartialReduce,
             collective: Collective::AllReduce,
             volume: shard_bytes(&node.output, cfg),
-            group_dims: red_dims,
+            group_dims: red_dims.as_slice(),
             group: red_group as u32,
         });
     }
@@ -130,14 +189,17 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
     for param in &node.params {
         let repl = replication(param, cfg);
         if repl > 1 {
-            let group_dims: Vec<u32> = (0..node.rank() as u32)
-                .filter(|&i| !param.maps_dim(i) && cfg.split(i as usize) > 1)
-                .collect();
-            events.push(CommEvent {
+            let mut group_dims = DimList::default();
+            for i in 0..node.rank() as u32 {
+                if !param.maps_dim(i) && cfg.split(i as usize) > 1 {
+                    group_dims.push(i);
+                }
+            }
+            emit(&EventRef {
                 kind: CommKind::GradientSync,
                 collective: Collective::AllReduce,
                 volume: shard_bytes(param, cfg),
-                group_dims,
+                group_dims: group_dims.as_slice(),
                 group: repl,
             });
         }
@@ -161,11 +223,11 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
                     if c > 1.0 && k > 1.0 {
                         let local = size_of_tensor_dim(node, input, i as u32) / c;
                         if local > 0.0 {
-                            events.push(CommEvent {
+                            emit(&EventRef {
                                 kind: CommKind::Halo,
                                 collective: Collective::PointToPoint,
                                 volume: 2.0 * in_shard * (k - 1.0) / local,
-                                group_dims: vec![i as u32],
+                                group_dims: &[i as u32],
                                 group: cfg.split(i),
                             });
                         }
@@ -190,11 +252,11 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
             if ce > 1 {
                 let cells_per_dev = (l / f64::from(cl)) * (s / f64::from(cs));
                 let gate_block = (b / f64::from(cb)) * (e / f64::from(ce)) * elem;
-                events.push(CommEvent {
+                emit(&EventRef {
                     kind: CommKind::RecurrentReduce,
                     collective: Collective::AllReduce,
                     volume: cells_per_dev * gate_block,
-                    group_dims: dim_idx(node, "e"),
+                    group_dims: DimList::of(node, "e").as_slice(),
                     group: ce,
                 });
             }
@@ -202,13 +264,15 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
             if p_stages > 1 {
                 let h_block = (b / f64::from(cb)) * (e / f64::from(ce)) * elem;
                 let crossings = (s / f64::from(cs)) * f64::from(p_stages - 1) / f64::from(p_stages);
-                let mut dims = dim_idx(node, "l");
-                dims.extend(dim_idx(node, "s"));
-                events.push(CommEvent {
+                let mut dims = DimList::of(node, "l");
+                if let Some(i) = node.dim_index("s") {
+                    dims.push(i as u32);
+                }
+                emit(&EventRef {
                     kind: CommKind::PipelineTransfer,
                     collective: Collective::PointToPoint,
                     volume: 2.0 * crossings * h_block,
-                    group_dims: dims,
+                    group_dims: dims.as_slice(),
                     group: p_stages,
                 });
             }
@@ -228,11 +292,11 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
                     split_of(node, cfg, "k"),
                 );
                 let kv = (b / f64::from(cb)) * s * (h / f64::from(ch)) * (k / f64::from(ck)) * 4.0;
-                events.push(CommEvent {
+                emit(&EventRef {
                     kind: CommKind::KvAllGather,
                     collective: Collective::AllGather,
                     volume: 4.0 * kv, // K and V, forward and backward
-                    group_dims: dim_idx(node, "s"),
+                    group_dims: DimList::of(node, "s").as_slice(),
                     group: cs,
                 });
             }
@@ -247,19 +311,17 @@ pub fn layer_comm_events(node: &Node, cfg: &Config) -> Vec<CommEvent> {
                     split_of(node, cfg, "e"),
                 );
                 let hidden = (b / f64::from(cb)) * (s / f64::from(cs2)) * (e / f64::from(ce)) * 4.0;
-                events.push(CommEvent {
+                emit(&EventRef {
                     kind: CommKind::PartialReduce,
                     collective: Collective::AllReduce,
                     volume: hidden,
-                    group_dims: dim_idx(node, "d"),
+                    group_dims: DimList::of(node, "d").as_slice(),
                     group: cd,
                 });
             }
         }
         _ => {}
     }
-
-    events
 }
 
 /// Extent of the tensor dimension of `t` mapped to iteration dim `iter_dim`

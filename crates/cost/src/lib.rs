@@ -37,6 +37,7 @@ mod comm;
 mod config;
 mod events;
 mod export;
+mod fill;
 mod layer;
 mod machine;
 mod memory;

@@ -32,11 +32,16 @@ use pase_graph::Node;
 /// shards (×3 for grads + optimizer state), the output activation shard,
 /// and the largest collective staging buffer. Rounded up to whole bytes.
 pub fn config_memory_bytes(node: &Node, cfg: &Config) -> u64 {
-    let footprint = layer_footprint_bytes(node, cfg);
     let comm_buf = layer_comm_events(node, cfg)
         .iter()
         .map(|e| e.volume)
         .fold(0.0_f64, f64::max);
+    memory_charge(layer_footprint_bytes(node, cfg), comm_buf)
+}
+
+/// The charge [`config_memory_bytes`] assigns a layer footprint plus its
+/// largest collective buffer.
+pub(crate) fn memory_charge(footprint: f64, comm_buf: f64) -> u64 {
     let total = footprint + comm_buf;
     debug_assert!(total.is_finite() && total >= 0.0, "bad memory charge");
     total.ceil() as u64

@@ -165,34 +165,46 @@ impl DeviceMesh {
     /// (canonical aligned placement fills inner axes first), saturating at
     /// the outermost axis for oversubscribed groups.
     fn spanned(&self, g: u32) -> usize {
-        let mut prod: u64 = 1;
-        for (i, a) in self.axes.iter().enumerate() {
-            prod = prod.saturating_mul(u64::from(a.size.max(1)));
-            if prod >= u64::from(g) {
-                return i;
-            }
-        }
-        self.axes.len() - 1
+        self.reach()
+            .position(|r| r >= u64::from(g))
+            .unwrap_or(self.axes.len() - 1)
     }
 
-    /// Bandwidth of the slowest link a group of `g` devices spans — the
-    /// ring-collective bottleneck.
-    pub fn slowest_bandwidth(&self, g: u32) -> f64 {
-        let last = self.spanned(g);
+    /// Saturating prefix products of the axis sizes: the `i`-th item is
+    /// the number of devices axes `0..=i` hold.
+    fn reach(&self) -> impl Iterator<Item = u64> + '_ {
+        self.axes.iter().scan(1u64, |prod, a| {
+            *prod = prod.saturating_mul(u64::from(a.size.max(1)));
+            Some(*prod)
+        })
+    }
+
+    /// Bandwidth of the slowest link within axes `0..=last`.
+    fn bandwidth_through(&self, last: usize) -> f64 {
         self.axes[..=last]
             .iter()
             .map(|a| a.bandwidth)
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Per-message latency of the slowest link a group of `g` devices
-    /// spans.
-    pub fn slowest_alpha(&self, g: u32) -> f64 {
-        let last = self.spanned(g);
+    /// Largest per-message latency within axes `0..=last`.
+    fn alpha_through(&self, last: usize) -> f64 {
         self.axes[..=last]
             .iter()
             .map(|a| a.alpha)
             .fold(0.0, f64::max)
+    }
+
+    /// Bandwidth of the slowest link a group of `g` devices spans — the
+    /// ring-collective bottleneck.
+    pub fn slowest_bandwidth(&self, g: u32) -> f64 {
+        self.bandwidth_through(self.spanned(g))
+    }
+
+    /// Per-message latency of the slowest link a group of `g` devices
+    /// spans.
+    pub fn slowest_alpha(&self, g: u32) -> f64 {
+        self.alpha_through(self.spanned(g))
     }
 
     /// FLOP-to-byte ratio `r_g = F_min / B_slowest(g)` for a communication
@@ -207,12 +219,7 @@ impl DeviceMesh {
     /// to FLOPs: ring steps × slowest `α` × `F_min`. Zero (exactly) on
     /// `α = 0` meshes.
     pub fn latency_flops(&self, collective: Collective, g: u32) -> f64 {
-        let steps = match collective {
-            Collective::AllReduce => 2 * g.saturating_sub(1),
-            Collective::AllGather => g.saturating_sub(1),
-            Collective::PointToPoint => 1,
-        };
-        self.slowest_alpha(g) * f64::from(steps) * self.effective_flops()
+        self.slowest_alpha(g) * f64::from(ring_steps(collective, g)) * self.effective_flops()
     }
 
     /// The flat profile a mesh degrades to when a consumer needs a scalar
@@ -329,6 +336,74 @@ impl DeviceMesh {
         }
         out.push_str("]}");
         out
+    }
+}
+
+/// Number of ring steps (messages per member) one `collective` over `g`
+/// devices takes.
+fn ring_steps(collective: Collective, g: u32) -> u32 {
+    match collective {
+        Collective::AllReduce => 2 * g.saturating_sub(1),
+        Collective::AllGather => g.saturating_sub(1),
+        Collective::PointToPoint => 1,
+    }
+}
+
+/// Per-build lookup table of the mesh rates, indexed by *span*: the
+/// outermost axis a group reaches ([`GroupTable::span`]). A group's ratio
+/// and latency depend on its size only through its span, and the span is
+/// monotone in the size, so `span(max(g, h)) == max(span(g), span(h))` —
+/// the edge fill takes the larger of two hoisted spans instead of
+/// resolving a group per configuration pair. Every entry is computed by
+/// the same expression as [`DeviceMesh::ratio_for_group`] /
+/// [`DeviceMesh::latency_flops`], so lookups are bit-identical to them.
+pub(crate) struct GroupTable {
+    reach: Vec<u64>,
+    /// `ratio_for_group(g)` for every `g` of span `i`.
+    pub(crate) ratio: Vec<f64>,
+    /// `slowest_alpha(g)` for every `g` of span `i`.
+    alpha: Vec<f64>,
+    /// `latency_flops(PointToPoint, g)` for every `g` of span `i`.
+    pub(crate) p2p: Vec<f64>,
+    flops: f64,
+}
+
+impl GroupTable {
+    pub(crate) fn new(mesh: &DeviceMesh) -> Self {
+        let flops = mesh.effective_flops();
+        let spans = 0..mesh.axes.len();
+        let ratio: Vec<f64> = spans
+            .clone()
+            .map(|i| flops / mesh.bandwidth_through(i))
+            .collect();
+        let alpha: Vec<f64> = spans.map(|i| mesh.alpha_through(i)).collect();
+        let p2p = alpha
+            .iter()
+            .map(|&a| a * f64::from(ring_steps(Collective::PointToPoint, 1)) * flops)
+            .collect();
+        Self {
+            reach: mesh.reach().collect(),
+            ratio,
+            alpha,
+            p2p,
+            flops,
+        }
+    }
+
+    /// The span of a group of `g` devices (`DeviceMesh::spanned`).
+    #[inline]
+    pub(crate) fn span(&self, g: u32) -> usize {
+        self.reach
+            .iter()
+            .position(|&r| r >= u64::from(g))
+            .unwrap_or(self.reach.len() - 1)
+    }
+
+    /// `latency_flops(collective, g)` for a group of `g` devices of span
+    /// `span`.
+    #[inline]
+    pub(crate) fn latency(&self, collective: Collective, g: u32, span: usize) -> f64 {
+        self.alpha[span] * f64::from(ring_steps(collective, g)) * self.flops
     }
 }
 

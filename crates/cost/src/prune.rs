@@ -48,7 +48,7 @@
 //! share signatures, so the per-signature dominance checks run once each,
 //! rayon-parallel, and the compacted pool stays interned by signature.
 
-use crate::tables::{CostTables, EdgeTable, LayerEntry};
+use crate::tables::{CostTables, EdgeTable, LayerEntry, NonFiniteCost};
 use pase_graph::{Graph, NodeId};
 use pase_obs::{phase, span_in, OptSpan, Trace};
 use rayon::prelude::*;
@@ -380,6 +380,12 @@ impl PrunedTables {
         span.arg("nodes_pruned", stats.nodes_pruned);
         drop(span);
 
+        // The compacted pools hold a subset of the source entries.
+        let non_finite = tables
+            .non_finite
+            .as_ref()
+            .and_then(|_| NonFiniteCost::scan(&layer_pool, &edge_pool))
+            .map(Box::new);
         Self {
             tables: CostTables {
                 rule: tables.rule,
@@ -390,6 +396,7 @@ impl PrunedTables {
                 edge_class,
                 edge_pool,
                 intern_attempted: tables.intern_attempted,
+                non_finite,
             },
             keep,
             stats,

@@ -19,16 +19,35 @@
 //! each distinct table once (in parallel across distinct tables), and maps
 //! nodes/edges to indices into the interned pools. Lookups stay `O(1)`;
 //! results are bit-identical to an uninterned build because shared entries
-//! are produced by the very same computation.
+//! are produced by the very same computation. The structural key borrows
+//! the node's iteration space and tensors rather than copying them.
+//!
+//! ## The factored fill
+//!
+//! Each class is filled once, by `crate::fill`, without calling the
+//! per-entry model per entry. A per-build `GroupTable` holds the mesh
+//! rates per *span* (the outermost axis a group reaches). A layer class
+//! costs every configuration in one allocation-free pass over its
+//! communication events, reusing one bandwidth-class list. An edge class
+//! hoists each side's per-dimension quotients `s_t / split` and span, and
+//! each consumer's `need` product, so a pair costs a `min` and a multiply
+//! per tensor dimension plus the rate and latency terms. Every f64
+//! operation sees the operands and order of [`crate::mesh_layer_cost`],
+//! [`crate::config_memory_bytes`] and [`crate::mesh_transfer_cost`], which
+//! stay the per-entry API and the test oracle: every entry is
+//! bit-identical to them (`tests/table_parity.rs`). The fill also records
+//! the first non-finite entry, so [`CostTables::check_finite`] is `O(1)`.
 
 use crate::config::{enumerate_configs, Config, ConfigRule};
+use crate::fill::{fill_edge, fill_layer, first_non_finite, LayerFill, NonFinite};
 use crate::machine::MachineSpec;
-use crate::mesh::{mesh_layer_cost, mesh_transfer_cost, DeviceMesh};
+use crate::mesh::{DeviceMesh, GroupTable};
 use crate::strategy::Strategy;
-use pase_graph::{EdgeId, Graph, IterDim, Node, NodeId, OpKind};
+use pase_graph::{EdgeId, Graph, Node, NodeId, OpKind, TensorRef};
 use pase_obs::{phase, span_in, OptSpan, Trace};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
+use std::hash::{Hash, Hasher};
 
 /// How [`CostTables::build_with`] constructs the tables.
 #[derive(Clone, Copy, Debug)]
@@ -102,17 +121,56 @@ impl InternStats {
 /// Structural identity of a node for interning: everything the
 /// configuration enumeration and cost formulas read, nothing else (in
 /// particular not the node's name). Float op parameters are keyed by their
-/// bit patterns so `Hash`/`Eq` stay consistent.
-#[derive(PartialEq, Eq, Hash)]
-struct NodeKey {
+/// bit patterns so `Hash`/`Eq` stay consistent. The key borrows the node's
+/// iteration space and tensors instead of copying them.
+struct NodeKey<'a> {
     op_tag: u8,
     op_bits: [u64; 3],
-    iter_space: Vec<IterDim>,
-    n_inputs: u32,
-    tensors: Vec<(Vec<u32>, Vec<u64>, u32)>,
+    node: &'a Node,
 }
 
-fn node_key(n: &Node) -> NodeKey {
+impl NodeKey<'_> {
+    /// Inputs, then the output, then the parameters.
+    fn tensors(&self) -> impl Iterator<Item = &TensorRef> {
+        let n = self.node;
+        n.inputs
+            .iter()
+            .chain(std::iter::once(&n.output))
+            .chain(&n.params)
+    }
+}
+
+impl PartialEq for NodeKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.node, other.node);
+        self.op_tag == other.op_tag
+            && self.op_bits == other.op_bits
+            && a.iter_space == b.iter_space
+            && a.inputs.len() == b.inputs.len()
+            && a.params.len() == b.params.len()
+            && self.tensors().zip(other.tensors()).all(|(x, y)| {
+                x.dims == y.dims && x.sizes == y.sizes && x.elem_bytes == y.elem_bytes
+            })
+    }
+}
+
+impl Eq for NodeKey<'_> {}
+
+impl Hash for NodeKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.op_tag.hash(state);
+        self.op_bits.hash(state);
+        self.node.iter_space.hash(state);
+        self.node.inputs.len().hash(state);
+        for t in self.tensors() {
+            t.dims.hash(state);
+            t.sizes.hash(state);
+            t.elem_bytes.hash(state);
+        }
+    }
+}
+
+fn node_key(n: &Node) -> NodeKey<'_> {
     let (op_tag, op_bits): (u8, [u64; 3]) = match n.op {
         OpKind::Conv2d {
             kernel_h,
@@ -132,19 +190,10 @@ fn node_key(n: &Node) -> NodeKey {
         OpKind::Elementwise { flops_per_point } => (11, [flops_per_point.to_bits(), 0, 0]),
         OpKind::Concat => (12, [0; 3]),
     };
-    let tensor = |t: &pase_graph::TensorRef| (t.dims.clone(), t.sizes.clone(), t.elem_bytes);
     NodeKey {
         op_tag,
         op_bits,
-        iter_space: n.iter_space.clone(),
-        n_inputs: n.inputs.len() as u32,
-        tensors: n
-            .inputs
-            .iter()
-            .chain(std::iter::once(&n.output))
-            .chain(n.params.iter())
-            .map(tensor)
-            .collect(),
+        node: n,
     }
 }
 
@@ -185,6 +234,34 @@ impl std::fmt::Display for NonFiniteCost {
 
 impl std::error::Error for NonFiniteCost {}
 
+impl NonFiniteCost {
+    /// The first non-finite entry of a `kind` pool, given each class's own
+    /// first non-finite entry in class order.
+    pub(crate) fn first(
+        kind: &'static str,
+        classes: impl Iterator<Item = NonFinite>,
+    ) -> Option<Self> {
+        classes.enumerate().find_map(|(class, nf)| {
+            nf.map(|(index, value)| Self {
+                kind,
+                class,
+                index,
+                value,
+            })
+        })
+    }
+
+    /// The first non-finite entry of already-filled pools, in
+    /// layer-then-edge class order.
+    pub(crate) fn scan(layer_pool: &[LayerEntry], edge_pool: &[EdgeTable]) -> Option<Self> {
+        Self::first(
+            "layer",
+            layer_pool.iter().map(|e| first_non_finite(&e.costs)),
+        )
+        .or_else(|| Self::first("edge", edge_pool.iter().map(|t| first_non_finite(&t.costs))))
+    }
+}
+
 /// Dense transfer-cost matrix for one structural edge class:
 /// `costs[cu * k_dst + cv]`.
 #[derive(Clone, Debug)]
@@ -209,6 +286,9 @@ pub struct CostTables {
     /// Whether structural interning was attempted for this build (see
     /// [`InternStats::attempted`]).
     pub(crate) intern_attempted: bool,
+    /// The first non-finite entry in layer-then-edge class order, recorded
+    /// by whoever filled the pools ([`CostTables::check_finite`]).
+    pub(crate) non_finite: Option<Box<NonFiniteCost>>,
 }
 
 impl CostTables {
@@ -366,58 +446,30 @@ impl CostTables {
         );
         drop(span);
 
-        // Phase 3 — cost-table fill: layer-cost vectors, then edge
-        // transfer matrices over the enumerated configuration lists.
+        // Phase 3 — cost-table fill: layer classes, then edge classes over
+        // the enumerated configuration lists (see `crate::fill`).
         let mut span = span_in(trace, phase::TABLE_BUILD);
-        let layer_pool: Vec<LayerEntry> = layer_reps
+        let groups = GroupTable::new(mesh);
+        let layer_fills: Vec<LayerFill> = layer_reps
             .into_iter()
             .zip(rep_configs)
             .collect::<Vec<_>>()
             .into_par_iter()
-            .map(|(v, configs)| {
-                let n = graph.node(v);
-                let costs = configs
-                    .iter()
-                    .map(|c| mesh_layer_cost(n, c, mesh))
-                    .collect();
-                let mem = configs
-                    .iter()
-                    .map(|c| crate::memory::config_memory_bytes(n, c))
-                    .collect();
-                LayerEntry {
-                    configs,
-                    costs,
-                    mem,
-                }
-            })
+            .map(|(v, configs)| fill_layer(graph.node(v), configs, &groups))
             .collect();
-        let edge_pool: Vec<EdgeTable> = edge_reps
+        let fill_of = |v: NodeId| (graph.node(v), &layer_fills[node_class[v.index()] as usize]);
+        let edge_fills: Vec<(EdgeTable, NonFinite)> = edge_reps
             .into_par_iter()
             .map(|eid| {
                 let e = graph.edge(eid);
-                let src = graph.node(e.src);
-                let dst = graph.node(e.dst);
-                let cu_list = &layer_pool[node_class[e.src.index()] as usize].configs;
-                let cv_list = &layer_pool[node_class[e.dst.index()] as usize].configs;
-                let mut costs = Vec::with_capacity(cu_list.len() * cv_list.len());
-                for cu in cu_list {
-                    for cv in cv_list {
-                        costs.push(mesh_transfer_cost(
-                            src,
-                            cu,
-                            dst,
-                            e.dst_slot as usize,
-                            cv,
-                            mesh,
-                        ));
-                    }
-                }
-                EdgeTable {
-                    k_dst: cv_list.len() as u32,
-                    costs,
-                }
+                fill_edge(fill_of(e.src), fill_of(e.dst), e.dst_slot as usize, &groups)
             })
             .collect();
+        let non_finite = NonFiniteCost::first("layer", layer_fills.iter().map(|f| f.non_finite))
+            .or_else(|| NonFiniteCost::first("edge", edge_fills.iter().map(|(_, nf)| *nf)))
+            .map(Box::new);
+        let layer_pool: Vec<LayerEntry> = layer_fills.into_iter().map(|f| f.entry).collect();
+        let edge_pool: Vec<EdgeTable> = edge_fills.into_iter().map(|(t, _)| t).collect();
         if span.is_some() {
             let entries = layer_pool.iter().map(|t| t.costs.len()).sum::<usize>()
                 + edge_pool.iter().map(|t| t.costs.len()).sum::<usize>();
@@ -435,6 +487,7 @@ impl CostTables {
             edge_class,
             edge_pool,
             intern_attempted,
+            non_finite,
         }
     }
 
@@ -549,28 +602,11 @@ impl CostTables {
     /// infinite table entries that would silently poison the dominance
     /// prune (`total_cmp` sorts NaN largest, `fold(INFINITY, min)` keeps
     /// it) and the DP argmin — reject them loudly at build time instead.
+    ///
+    /// The fill records the first such entry as it builds the tables, so
+    /// this answers without scanning them.
     pub fn check_finite(&self) -> Result<(), NonFiniteCost> {
-        for (class, entry) in self.layer_pool.iter().enumerate() {
-            if let Some(c) = entry.costs.iter().position(|x| !x.is_finite()) {
-                return Err(NonFiniteCost {
-                    kind: "layer",
-                    class,
-                    index: c,
-                    value: entry.costs[c],
-                });
-            }
-        }
-        for (class, table) in self.edge_pool.iter().enumerate() {
-            if let Some(i) = table.costs.iter().position(|x| !x.is_finite()) {
-                return Err(NonFiniteCost {
-                    kind: "edge",
-                    class,
-                    index: i,
-                    value: table.costs[i],
-                });
-            }
-        }
-        Ok(())
+        self.non_finite.as_deref().map_or(Ok(()), |e| Err(*e))
     }
 
     /// The contiguous per-configuration layer-cost row of node `v`:
@@ -955,6 +991,36 @@ mod tests {
         // ... while a sane machine passes.
         let ok = CostTables::build(&g, ConfigRule::new(8), &MachineSpec::test_machine());
         assert!(ok.check_finite().is_ok());
+    }
+
+    #[test]
+    fn check_finite_reports_what_a_scan_finds() {
+        // The fill records the first non-finite entry instead of
+        // `check_finite` rescanning the pools; both constructors (the
+        // build and the pruned compaction) must agree with a scan.
+        let g = fc_chain(3);
+        let hostile = MachineSpec {
+            name: "hostile".to_string(),
+            peak_flops: 1.0,
+            link_bandwidth: 0.0,
+            internode_bandwidth: 0.0,
+        };
+        let m = MachineSpec::test_machine();
+        for machine in [&hostile, &m] {
+            for opts in [always_intern(), TableOptions::default()] {
+                let t = CostTables::build_with(&g, ConfigRule::new(8), machine, &opts);
+                let scan = NonFiniteCost::scan(&t.layer_pool, &t.edge_pool);
+                assert_eq!(t.check_finite().err(), scan);
+                let pruned = crate::PrunedTables::build(&g, &t, &crate::PruneOptions::default());
+                let p = pruned.tables();
+                assert_eq!(
+                    p.check_finite().err(),
+                    NonFiniteCost::scan(&p.layer_pool, &p.edge_pool)
+                );
+            }
+        }
+        let bad = CostTables::build(&g, ConfigRule::new(8), &hostile);
+        assert!(bad.check_finite().is_err());
     }
 
     #[test]

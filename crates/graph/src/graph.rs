@@ -24,7 +24,8 @@ pub enum GraphError {
     /// A node failed internal validation.
     InvalidNode(String),
     /// An edge references a slot that the destination node does not declare,
-    /// or a slot is fed by more than one edge / left unconnected.
+    /// joins a producer output and a consumer input of different ranks, or
+    /// a slot is fed by more than one edge / left unconnected.
     InvalidEdge(String),
     /// A cluster/topology shape is degenerate (zero devices or nodes).
     /// Raised by consumers that validate execution shapes (e.g. the
@@ -238,6 +239,20 @@ impl GraphBuilder {
                     dst.inputs.len()
                 )));
             }
+            let (out, inp) = (
+                &self.nodes[e.src.index()].output,
+                &dst.inputs[e.dst_slot as usize],
+            );
+            if out.rank() != inp.rank() {
+                return Err(GraphError::InvalidEdge(format!(
+                    "edge {i}: '{}' output is rank {} but '{}' input[{}] is rank {}",
+                    self.nodes[e.src.index()].name,
+                    out.rank(),
+                    dst.name,
+                    e.dst_slot,
+                    inp.rank()
+                )));
+            }
             if slot_seen[e.dst.index()].contains(&e.dst_slot) {
                 return Err(GraphError::InvalidEdge(format!(
                     "slot {} of '{}' is fed by multiple edges",
@@ -392,6 +407,21 @@ mod tests {
         let c = b.add_node(ew("c", 1));
         b.connect_slot(a, c, 5);
         assert!(matches!(b.build(), Err(GraphError::InvalidEdge(_))));
+    }
+
+    #[test]
+    fn rank_mismatched_edge_is_rejected() {
+        // Regression: a rank-0 output feeding a rank-1 input used to pass
+        // `build` and panic later, inside the cost-table fill.
+        let mut b = GraphBuilder::new();
+        let mut scalar = ew("sum", 0);
+        scalar.output = TensorRef::new(vec![], vec![]);
+        let a = b.add_node(scalar);
+        let c = b.add_node(ew("c", 1));
+        b.connect(a, c);
+        let err = b.build().unwrap_err();
+        assert!(matches!(err, GraphError::InvalidEdge(_)));
+        assert!(err.to_string().contains("rank"), "got: {err}");
     }
 
     #[test]

@@ -245,6 +245,25 @@ mod tests {
     }
 
     #[test]
+    fn zoo_builds_under_the_edge_rank_check() {
+        // `GraphBuilder::build` rejects producer/consumer rank mismatches;
+        // every zoo model, at every scale the planner serves, still builds.
+        for name in MODEL_NAMES {
+            for p in [1, 8, 64] {
+                for weak in [false, true] {
+                    build_named(name, p, weak).unwrap_or_else(|e| panic!("{name}: {e}"));
+                }
+            }
+        }
+        for b in Benchmark::all() {
+            for p in [8, 64] {
+                assert!(!b.build_for(p).is_empty());
+            }
+            assert!(!b.build_tiny().is_empty());
+        }
+    }
+
+    #[test]
     fn weak_scaling_multiplies_the_batch() {
         let fixed = build_named("mlp", 8, false).unwrap();
         let weak = build_named("mlp", 8, true).unwrap();

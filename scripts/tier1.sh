@@ -16,6 +16,9 @@ cargo test -q
 # cap, concurrent callers, withdrawn queue entries) in an optimized build;
 # the root package's `cargo test` does not run member crates' tests.
 cargo test -q --release -p rayon
+# Every cost-table entry bit-identical to the per-entry model, including
+# the p = 64 sweep that is too slow for a debug build.
+cargo test -q --release --test table_parity -- --include-ignored
 
 # Smoke: regenerates BENCH_search.json; fails if pruning ever changes the
 # optimum on any model at p ∈ {8, 32, 64}.
