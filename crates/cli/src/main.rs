@@ -674,6 +674,8 @@ fn run() -> Result<(), String> {
             emit(args.get("out"), &content)?;
         }
         "serve" => {
+            // Before any server thread allocates: a steady memory peak.
+            pase_serve::limit_malloc_arenas();
             let cfg = ServerConfig {
                 addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
                 workers: args.get_or("workers", 4usize)?,

@@ -49,5 +49,6 @@ pub use protocol::{
 };
 #[cfg(unix)]
 pub use server::install_sigint;
+pub use server::limit_malloc_arenas;
 pub use server::{FrontEnd, ServeSummary, Server, ServerConfig, ShutdownHandle};
 pub use sharded::{CacheCounters, Lookup, MissGuard, ShardedCache};

@@ -777,6 +777,32 @@ pub(crate) fn answer_search(req: &Request, shared: &Shared, out: &mut String) {
     }
 }
 
+/// Make every thread of the process allocate from one glibc malloc arena.
+///
+/// By default glibc gives each new allocating thread an arena of its own
+/// (up to eight per core) and never moves free memory between them. A
+/// search leaves its freed tables in the arena of the worker that ran it,
+/// so the next miss taken by the other worker (or the rayon helper) grows
+/// a second heap instead of reusing the first: the server's resident
+/// high-water mark then depends on which worker took which miss and
+/// varies by ~10 MB from one run to the next. With one arena freed memory
+/// is reused whichever thread allocates; per-thread tcache still serves
+/// small allocations without the arena lock. Call once, before the server
+/// starts its threads. A no-op off linux-gnu.
+pub fn limit_malloc_arenas() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            // glibc mallopt(3); libc is always linked into std binaries.
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_ARENA_MAX: i32 = -8;
+        unsafe {
+            mallopt(M_ARENA_MAX, 1);
+        }
+    }
+}
+
 static SIGINT_FLAG: AtomicBool = AtomicBool::new(false);
 
 /// Install a SIGINT (ctrl-c) handler that triggers `handle` — the handler
