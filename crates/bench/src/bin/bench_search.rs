@@ -191,26 +191,48 @@ fn main() {
 
             // Frontier A/B: the same single-threaded fill spans with the
             // Pareto DP on, once through the incremental reference
-            // loop and once through the run-blocked microkernel. One sample
-            // each — the big cells are slow single-threaded under the
-            // incremental loop. Both frontiers' min-time point must stay
-            // bit-identical to the scalar optimum (asserted on every cell
-            // of this grid), and the microkernel carries a >=5x acceptance
-            // floor over the incremental fill on the two biggest cells.
-            let trace = Trace::new();
-            let incremental = reference::frontier(&g, &tables, FRONTIER_WIDTH, Some(&trace));
-            let dp_fill_frontier_s = fill_span(&trace);
-            let trace = Trace::new();
-            let outcome = single_thread.install(|| {
-                Search::new(&g)
-                    .tables(&tables)
-                    .frontier_width(FRONTIER_WIDTH)
-                    .trace(&trace)
-                    .frontier()
-                    .run()
-                    .into_outcome()
+            // loop and once through the run-blocked microkernel. Both
+            // frontiers' min-time point must stay bit-identical to the
+            // scalar optimum (asserted on every cell of this grid), and
+            // the microkernel carries a >=5x acceptance floor over the
+            // incremental fill on the two biggest cells. Transformer p=64
+            // sits closest to that floor, so it takes the median of three
+            // fills of each; every other cell takes one sample, as the big
+            // cells are slow single-threaded under the incremental loop
+            // (over a minute per fill on InceptionV3 p=64, which clears the
+            // floor by a wide margin).
+            let frontier_samples = if p == 64 && matches!(bench, Benchmark::Transformer) {
+                3
+            } else {
+                1
+            };
+            let mut incremental = None;
+            let dp_fill_frontier_s = median_of(frontier_samples, || {
+                let trace = Trace::new();
+                incremental = Some(reference::frontier(
+                    &g,
+                    &tables,
+                    FRONTIER_WIDTH,
+                    Some(&trace),
+                ));
+                fill_span(&trace)
             });
-            let dp_fill_frontier_tiled_s = fill_span(&trace);
+            let incremental = incremental.expect("at least one frontier sample");
+            let (mut outcome, mut trace) = (None, Trace::new());
+            let dp_fill_frontier_tiled_s = median_of(frontier_samples, || {
+                trace = Trace::new();
+                outcome = Some(single_thread.install(|| {
+                    Search::new(&g)
+                        .tables(&tables)
+                        .frontier_width(FRONTIER_WIDTH)
+                        .trace(&trace)
+                        .frontier()
+                        .run()
+                        .into_outcome()
+                }));
+                fill_span(&trace)
+            });
+            let outcome = outcome.expect("at least one frontier sample");
             let frontier_report = SearchReport::new(bench.name(), p, &outcome, Some(&trace));
             assert_eq!(frontier_report.stats.dp_kernel, "frontier-tiled");
             for (engine, cost) in [

@@ -281,6 +281,20 @@ impl<'a> Search<'a> {
                 frontier: None,
             };
         }
+        // A vertex with no configuration leaves no strategy to search (and
+        // the DP kernels index its empty table rows).
+        if let Some(v) = self.graph.node_ids().find(|&v| tables.get().k(v) == 0) {
+            let e = GraphError::InvalidNode(format!(
+                "node {} ('{}') has no configuration to search",
+                v.index(),
+                self.graph.node(v).name
+            ));
+            return SearchRun {
+                outcome: Err(BuildFailure::Graph(e)),
+                tables,
+                frontier: None,
+            };
+        }
         // Resolve the gate into (prune options to use, gate telemetry).
         // Auto builds the ordering + structure up front — the structure
         // depends only on (graph, ordering, mode), so the DP reuses it
@@ -502,9 +516,10 @@ impl fmt::Display for BuildFailure {
 /// [`StrategyFrontier`].
 ///
 /// A structurally malformed fill plan (an internal invariant violation the
-/// DP kernels detect rather than silently wrap on) and non-finite cost
-/// tables are carried as a build failure: [`SearchRun::result`] surfaces
-/// them as [`Error::Graph`] / [`Error::NonFiniteCost`], while the
+/// DP kernels detect rather than silently wrap on), a vertex with an empty
+/// configuration list, and non-finite cost tables are carried as a build
+/// failure: [`SearchRun::result`] surfaces them as [`Error::Graph`] /
+/// [`Error::NonFiniteCost`], while the
 /// infallible accessors panic — either way the search ran no DP at all.
 pub struct SearchRun<'a> {
     outcome: Result<SearchOutcome, BuildFailure>,

@@ -15,6 +15,7 @@ use crate::memory::memory_charge;
 use crate::mesh::GroupTable;
 use crate::tables::{EdgeTable, LayerEntry};
 use pase_graph::Node;
+use std::sync::Arc;
 
 /// The first non-finite entry of one class: flat index and value.
 pub(crate) type NonFinite = Option<(usize, f64)>;
@@ -164,7 +165,7 @@ pub(crate) fn fill_edge(
     (
         EdgeTable {
             k_dst: k_dst as u32,
-            costs,
+            costs: Arc::new(costs),
         },
         non_finite,
     )

@@ -48,6 +48,7 @@ use pase_obs::{phase, span_in, OptSpan, Trace};
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// How [`CostTables::build_with`] constructs the tables.
 #[derive(Clone, Copy, Debug)]
@@ -263,11 +264,12 @@ impl NonFiniteCost {
 }
 
 /// Dense transfer-cost matrix for one structural edge class:
-/// `costs[cu * k_dst + cv]`.
+/// `costs[cu * k_dst + cv]`. The storage is reference-counted so a pruned
+/// pool can share a matrix its prune left whole (see [`crate::prune`]).
 #[derive(Clone, Debug)]
 pub(crate) struct EdgeTable {
     pub(crate) k_dst: u32,
-    pub(crate) costs: Vec<f64>,
+    pub(crate) costs: Arc<Vec<f64>>,
 }
 
 /// Precomputed configuration lists and cost tables for a (graph, rule,

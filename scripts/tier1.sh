@@ -19,6 +19,9 @@ cargo test -q --release -p rayon
 # Every cost-table entry bit-identical to the per-entry model, including
 # the p = 64 sweep that is too slow for a debug build.
 cargo test -q --release --test table_parity -- --include-ignored
+# Every keep set equal to the plain pairwise dominance scan, including the
+# p = 64 sweep (and InceptionV3 p = 32 and 64).
+cargo test -q --release --test prune_parity -- --include-ignored
 
 # Smoke: regenerates BENCH_search.json; fails if pruning ever changes the
 # optimum on any model at p ∈ {8, 32, 64}.

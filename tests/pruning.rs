@@ -4,9 +4,13 @@
 //! approximate), while strictly shrinking the configuration space whenever a
 //! dominated configuration exists.
 
-use pase::core::Search;
-use pase::cost::{ConfigRule, CostTables, MachineSpec, PruneOptions, PrunedTables};
-use pase::models::Benchmark;
+use pase::core::{Error, Search};
+use pase::cost::{
+    enumerate_configs, Config, ConfigRule, ConfigSpace, CostTables, DeviceMesh, MachineSpec,
+    PruneOptions, PrunedTables, TableOptions,
+};
+use pase::graph::NodeId;
+use pase::models::{build_named, Benchmark};
 
 /// The ISSUE acceptance criterion: pruned search is bit-identical to
 /// unpruned search on all four benchmark models at `p ∈ {8, 32, 64}`.
@@ -83,5 +87,46 @@ fn pruning_keeps_every_benchmark_config_list_nonempty() {
                 );
             }
         }
+    }
+}
+
+/// A vertex with an empty configuration list leaves nothing to search:
+/// `Search::run` reports it as an error instead of panicking in the DP
+/// kernels, with and without the prune, and the prune itself neither
+/// panics nor invents a configuration.
+#[test]
+fn an_empty_config_list_is_an_error_not_a_panic() {
+    let g = build_named("rnnlm", 8, false).expect("rnnlm builds");
+    let rule = ConfigRule::new(8);
+    let mut lists: Vec<Vec<Config>> = g
+        .nodes()
+        .iter()
+        .map(|n| enumerate_configs(n, &rule))
+        .collect();
+    lists[1].clear();
+    let space = ConfigSpace::from_lists(lists);
+    let mesh = DeviceMesh::flat(&MachineSpec::gtx1080ti());
+    let tables =
+        CostTables::build_mesh_with_space(&g, rule, &mesh, &space, &TableOptions::default());
+    for prune in [None, Some(PruneOptions::default())] {
+        let from_space = Search::new(&g).rule(rule).space(&space);
+        let from_tables = Search::new(&g).tables(&tables);
+        for search in [from_space, from_tables] {
+            let search = match prune {
+                Some(opts) => search.pruning(opts),
+                None => search,
+            };
+            match search.run().result() {
+                Err(Error::Graph(e)) => {
+                    assert!(e.to_string().contains("no configuration"), "{e}")
+                }
+                other => panic!("prune {prune:?}: expected an error, got {other:?}"),
+            }
+        }
+    }
+    let pruned = PrunedTables::build(&g, &tables, &PruneOptions::default());
+    assert!(pruned.kept_ids(NodeId(1)).is_empty());
+    for v in g.node_ids().filter(|v| v.index() != 1) {
+        assert!(!pruned.kept_ids(v).is_empty(), "C({v}) emptied");
     }
 }
