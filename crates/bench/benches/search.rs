@@ -32,8 +32,7 @@ fn bench_table_build(c: &mut Criterion) {
                     ConfigRule::new(8),
                     &machine,
                     &TableOptions {
-                        intern: false,
-                        ..TableOptions::default()
+                        intern_min_nodes: usize::MAX,
                     },
                 )
             })

@@ -31,14 +31,14 @@
 //!   cell as `frontier_report`.
 //!
 //! * the whole search end to end (`end_to_end_s`), as `pase search` runs
-//!   it: graph build, cost tables, the prune gate, the prune when the gate
-//!   keeps it, the DP fill and the backtrack — so each layer above can be
-//!   read against the request it is part of.
+//!   it: graph build, cost tables, the exact prune, the DP fill and the
+//!   backtrack — so each layer above can be read against the request it
+//!   is part of.
 //!
 //! Medians are written to `BENCH_search.json`. Mirrors the criterion
 //! benches but runs in seconds, so it can gate a PR.
 
-use pase_core::{reference, PruneGate, Search, SearchReport};
+use pase_core::{reference, Search, SearchReport};
 use pase_cost::{
     ConfigRule, CostTables, DeviceMesh, MachineSpec, PruneOptions, PrunedTables, TableOptions,
 };
@@ -88,8 +88,7 @@ fn main() {
     let machine = MachineSpec::gtx1080ti();
     // The baseline build is uninterned and runs on one thread.
     let baseline_tables = TableOptions {
-        intern: false,
-        ..TableOptions::default()
+        intern_min_nodes: usize::MAX,
     };
     let optimized_tables = TableOptions::default();
     let single_thread = rayon::ThreadPoolBuilder::new()
@@ -132,7 +131,6 @@ fn main() {
                     .devices(p)
                     .machine(machine.clone())
                     .pruning(PruneOptions::default())
-                    .prune_gate(PruneGate::Auto)
                     .run()
                     .expect_found(bench.name())
                     .cost

@@ -53,6 +53,20 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Fail on the first option or flag whose name is not in `known`, so a
+    /// misspelled or retired option is an error rather than a default.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .find(|name| !known.contains(&name.as_str()))
+        {
+            Some(name) => Err(format!("unknown option --{name}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -89,6 +103,23 @@ mod tests {
     #[test]
     fn extra_positional_rejected() {
         assert!(Args::parse(["a".to_string(), "b".to_string()]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_and_flags_are_rejected() {
+        let known = ["model", "json"];
+        assert_eq!(
+            parse("search --model mlp --json").reject_unknown(&known),
+            Ok(())
+        );
+        assert_eq!(
+            parse("search --model mlp --colour red").reject_unknown(&known),
+            Err("unknown option --colour".to_string())
+        );
+        assert_eq!(
+            parse("search --json --verbose").reject_unknown(&known),
+            Err("unknown option --verbose".to_string())
+        );
     }
 
     #[test]

@@ -16,8 +16,8 @@ mod args;
 use args::Args;
 use pase_baselines::{data_parallel, gnmt_expert, mesh_tf_expert, owt};
 use pase_core::{
-    dependent_set_sizes, generate_seq, optcnn_search, FrontierPoint, PruneGate, ReductionOutcome,
-    Search, SearchOutcome, SearchReport, SearchResult, SearchStats,
+    dependent_set_sizes, generate_seq, optcnn_search, FrontierPoint, ReductionOutcome, Search,
+    SearchOutcome, SearchReport, SearchResult, SearchStats,
 };
 use pase_cost::{
     from_sharding_json, to_sharding_json, to_sharding_json_with, validate_strategy, ConfigRule,
@@ -52,17 +52,8 @@ OPTIONS:
   --weak-scaling           scale the global batch with the device count
   --search-threads <n>     worker threads for the wavefront-parallel search
                            (default: all cores)
-  --no-intern              disable structural cost-table interning (A/B
-                           measurement; results are identical either way)
-  --no-prune               disable exact dominance pruning of the per-layer
-                           configuration space (A/B measurement; pruning is
-                           exact, so results are identical either way)
   --prune-epsilon <e>      prune configs dominated within (1+e) — faster on
                            large p but only (1+e)-optimal (default 0 = exact)
-  --prune-gate <on|off|auto> when to run the dominance prune: \"auto\" skips it
-                           whenever its fixed cost exceeds the predicted DP
-                           savings (never changes results, only time;
-                           default on)
   --frontier               (search, query) compute the whole (step-time x
                            peak-memory) Pareto frontier instead of a single
                            optimum
@@ -109,6 +100,16 @@ OPTIONS:
                            (one request line, one response array)
 ";
 
+/// The option names `USAGE` documents: every line that opens with two
+/// spaces and `--`. The parser accepts exactly these.
+fn documented_options() -> Vec<&'static str> {
+    USAGE
+        .lines()
+        .filter_map(|line| line.strip_prefix("  --"))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .collect()
+}
+
 fn build_model(name: &str, p: u32, weak_scaling: bool) -> Result<Graph, String> {
     models::build_named(name, p, weak_scaling).map_err(|e| format!("{e}\n\n{USAGE}"))
 }
@@ -150,15 +151,8 @@ struct SearchKnobs {
     /// Worker threads for table building and the wavefront fill (0 = all
     /// cores).
     threads: usize,
-    /// Structural cost-table interning (`--no-intern` turns it off).
-    intern: bool,
-    /// Dominance pruning of the configuration space (`--no-prune` turns it
-    /// off).
-    prune: bool,
     /// Dominance slack ε for `--prune-epsilon` (0 = exact).
     prune_epsilon: f64,
-    /// `--prune-gate`: when to run the prune (`auto` decides per graph).
-    gate: PruneGate,
 }
 
 impl SearchKnobs {
@@ -167,18 +161,18 @@ impl SearchKnobs {
         if prune_epsilon.is_nan() || prune_epsilon < 0.0 {
             return Err(format!("--prune-epsilon must be ≥ 0, got {prune_epsilon}"));
         }
-        let gate = match args.get("prune-gate") {
-            None => PruneGate::default(),
-            Some(s) => PruneGate::parse(s)
-                .ok_or_else(|| format!("--prune-gate must be on, off, or auto, got '{s}'"))?,
-        };
         Ok(Self {
             threads: args.get_or("search-threads", 0usize)?,
-            intern: !args.has("no-intern"),
-            prune: !args.has("no-prune"),
             prune_epsilon,
-            gate,
         })
+    }
+
+    /// The dominance prune every searching subcommand runs.
+    fn prune_options(self) -> PruneOptions {
+        PruneOptions {
+            epsilon: self.prune_epsilon,
+            ..PruneOptions::default()
+        }
     }
 }
 
@@ -210,23 +204,7 @@ fn search_strategy(
         let mut search = Search::new(graph)
             .rule(rule)
             .mesh(mesh.clone())
-            // --no-prune wins over the gate: never let `auto` re-enable a
-            // prune the user explicitly disabled.
-            .prune_gate(if knobs.prune {
-                knobs.gate
-            } else {
-                PruneGate::Off
-            })
-            .table_options(TableOptions {
-                intern: knobs.intern,
-                ..TableOptions::default()
-            });
-        if knobs.prune {
-            search = search.pruning(PruneOptions {
-                epsilon: knobs.prune_epsilon,
-                ..PruneOptions::default()
-            });
-        }
+            .pruning(knobs.prune_options());
         if let Some(t) = trace {
             search = search.trace(t);
         }
@@ -281,22 +259,8 @@ fn frontier_search(
     let mut search = Search::new(graph)
         .rule(rule)
         .mesh(mesh.clone())
-        .prune_gate(if knobs.prune {
-            knobs.gate
-        } else {
-            PruneGate::Off
-        })
-        .table_options(TableOptions {
-            intern: knobs.intern,
-            ..TableOptions::default()
-        })
+        .pruning(knobs.prune_options())
         .frontier();
-    if knobs.prune {
-        search = search.pruning(PruneOptions {
-            epsilon: knobs.prune_epsilon,
-            ..PruneOptions::default()
-        });
-    }
     if let Some(bytes) = max_memory {
         search = search.max_memory_bytes(bytes);
     }
@@ -366,6 +330,8 @@ fn run() -> Result<(), String> {
     let Some(command) = args.command.clone() else {
         return Err(USAGE.to_string());
     };
+    args.reject_unknown(&documented_options())
+        .map_err(|e| format!("{e}\n\n{USAGE}"))?;
     let model = args.get("model").unwrap_or("mlp").to_string();
     let p: u32 = args.get_or("devices", 8)?;
     let (machine, mesh) = machine_and_mesh(&args)?;
@@ -522,10 +488,7 @@ fn run() -> Result<(), String> {
                 &graph,
                 ConfigRule::new(p),
                 &mesh,
-                &TableOptions {
-                    intern: knobs.intern,
-                    ..TableOptions::default()
-                },
+                &TableOptions::default(),
                 None,
             );
             let intern = tables.intern_stats();
@@ -739,14 +702,11 @@ fn run() -> Result<(), String> {
                     "{{\"model\": \"{model}\", \"devices\": {p}, \
                      \"machine\": {machine_field}, \"weak_scaling\": {weak}"
                 );
-                if knobs.prune && knobs.prune_epsilon > 0.0 {
+                if knobs.prune_epsilon > 0.0 {
                     request.push_str(&format!(
                         ", \"prune\": true, \"epsilon\": {}",
                         knobs.prune_epsilon
                     ));
-                }
-                if knobs.gate != PruneGate::default() {
-                    request.push_str(&format!(", \"prune_gate\": \"{}\"", knobs.gate.as_str()));
                 }
                 if let Some(ms) = args.get("deadline-ms") {
                     let ms: u64 = ms
@@ -978,19 +938,15 @@ mod tests {
     #[test]
     fn search_knobs_parse_from_args() {
         let a = Args::parse(
-            "search --search-threads 2 --no-intern --no-prune"
+            "search --search-threads 2"
                 .split_whitespace()
                 .map(String::from),
         )
         .unwrap();
         let k = SearchKnobs::from_args(&a).unwrap();
         assert_eq!(k.threads, 2);
-        assert!(!k.intern);
-        assert!(!k.prune);
         let d = SearchKnobs::from_args(&Args::default()).unwrap();
         assert_eq!(d.threads, 0);
-        assert!(d.intern);
-        assert!(d.prune);
         assert_eq!(d.prune_epsilon, 0.0);
         let e = Args::parse(
             "search --prune-epsilon 0.05"
@@ -999,21 +955,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(SearchKnobs::from_args(&e).unwrap().prune_epsilon, 0.05);
-        let g = Args::parse(
-            "search --prune-gate auto"
-                .split_whitespace()
-                .map(String::from),
-        )
-        .unwrap();
-        assert_eq!(SearchKnobs::from_args(&g).unwrap().gate, PruneGate::Auto);
-        assert_eq!(d.gate, PruneGate::On);
-        let bad_gate = Args::parse(
-            "search --prune-gate maybe"
-                .split_whitespace()
-                .map(String::from),
-        )
-        .unwrap();
-        assert!(SearchKnobs::from_args(&bad_gate).is_err());
         let bad = Args::parse(
             "search --prune-epsilon -1"
                 .split_whitespace()
@@ -1024,44 +965,50 @@ mod tests {
         assert!(bad.is_err() || SearchKnobs::from_args(&bad.unwrap()).is_err());
     }
 
+    fn check(line: &str) -> Result<(), String> {
+        Args::parse(line.split_whitespace().map(String::from))
+            .unwrap()
+            .reject_unknown(&documented_options())
+    }
+
     #[test]
-    fn capped_threads_and_no_intern_match_defaults() {
+    fn retired_knobs_are_unknown_options() {
+        for (line, name) in [
+            ("search --model alexnet --no-prune", "--no-prune"),
+            ("search --prune-gate auto", "--prune-gate"),
+            ("search --no-intern --search-threads 1", "--no-intern"),
+        ] {
+            assert_eq!(check(line), Err(format!("unknown option {name}")), "{line}");
+        }
+    }
+
+    #[test]
+    fn every_option_the_scripts_pass_parses() {
+        for line in [
+            "search --model transformer --devices 64 --trace-out t.json --json --out s.json",
+            "search --model inception --devices 8 --search-threads 1 --prune-epsilon 0.05",
+            "search --model mlp --frontier --max-memory 1000 --machine 2080ti",
+            "serve --addr 127.0.0.1:0 --workers 2 --frontend event --prewarm alexnet:8:1080ti",
+            "query --model alexnet --devices 8 --weak-scaling --addr a:1 --out q.json",
+            "query --stats --addr a:1 --batch 8 --machine-file m.json --deadline-ms 5",
+        ] {
+            assert_eq!(check(line), Ok(()), "{line}");
+        }
+    }
+
+    #[test]
+    fn capped_threads_match_defaults() {
         let g = build_model("mlp", 4, false).unwrap();
         let m = DeviceMesh::flat(&MachineSpec::gtx1080ti());
-        let base = search_strategy(
-            &g,
-            4,
-            &m,
-            None,
-            SearchKnobs {
-                threads: 0,
-                intern: true,
-                prune: true,
+        let search = |threads| {
+            let knobs = SearchKnobs {
+                threads,
                 prune_epsilon: 0.0,
-                gate: PruneGate::On,
-            },
-            None,
-        )
-        .unwrap();
-        let knobbed = search_strategy(
-            &g,
-            4,
-            &m,
-            None,
-            SearchKnobs {
-                threads: 1,
-                intern: false,
-                prune: false,
-                prune_epsilon: 0.0,
-                gate: PruneGate::On,
-            },
-            None,
-        )
-        .unwrap();
-        assert_eq!(base.cost.to_bits(), knobbed.cost.to_bits());
-        assert_eq!(
-            base.strategy.configs().len(),
-            knobbed.strategy.configs().len()
-        );
+            };
+            search_strategy(&g, 4, &m, None, knobs, None).unwrap()
+        };
+        let (base, capped) = (search(0), search(1));
+        assert_eq!(base.cost.to_bits(), capped.cost.to_bits());
+        assert_eq!(base.strategy.configs(), capped.strategy.configs());
     }
 }

@@ -6,18 +6,22 @@
 //! graphs — but it is the ground truth for Theorem 1: the DP must return
 //! exactly this minimum.
 
-use pase_cost::{CostTables, PruneOptions, PrunedTables};
+use pase_cost::CostTables;
 use pase_graph::Graph;
 
 /// Find `min_φ F(G, φ)` and one argmin by exhaustive enumeration. Panics if
 /// the strategy space exceeds `2^32` combinations (use the DP for anything
-/// bigger).
+/// bigger). A vertex with an empty `C(v)` leaves no strategy at all: the
+/// answer is `(∞, [])`, since no id would name a real configuration.
 pub fn brute_force(graph: &Graph, tables: &CostTables) -> (f64, Vec<u16>) {
     let n = graph.len();
     if n == 0 {
         return (0.0, vec![]);
     }
     let ks: Vec<u64> = graph.node_ids().map(|v| tables.k(v) as u64).collect();
+    if ks.contains(&0) {
+        return (f64::INFINITY, vec![]);
+    }
     let total: u64 = ks
         .iter()
         .try_fold(1u64, |acc, &k| {
@@ -42,20 +46,6 @@ pub fn brute_force(graph: &Graph, tables: &CostTables) -> (f64, Vec<u16>) {
         }
     }
     (best, best_ids)
-}
-
-/// [`brute_force`] over a dominance-pruned configuration space, so DP
-/// cross-checks stay valid on pruned runs. Exact for `prune.epsilon == 0`
-/// (every pruned configuration has a kept dominator); the returned ids are
-/// mapped back into the original `tables`' id space.
-pub fn brute_force_pruned(
-    graph: &Graph,
-    tables: &CostTables,
-    prune: &PruneOptions,
-) -> (f64, Vec<u16>) {
-    let pruned = PrunedTables::build(graph, tables, prune);
-    let (cost, ids) = brute_force(graph, pruned.tables());
-    (cost, pruned.to_original_ids(&ids))
 }
 
 /// Sample `count` random strategies (seeded) and return their costs; used

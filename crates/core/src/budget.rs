@@ -111,16 +111,6 @@ pub struct SearchStats {
     /// oracles report `"scalar"` / `"frontier"`); empty on stats that never
     /// reached the DP.
     pub dp_kernel: &'static str,
-    /// `true` when the adaptive prune gate (`PruneGate::Auto`) decided to
-    /// skip the dominance prune because its fixed cost was predicted to
-    /// exceed the DP savings. Always `false` for `PruneGate::On`/`Off`.
-    pub prune_skipped: bool,
-    /// The gate's DP-work estimate (total `(substrategy, configuration)`
-    /// evaluations over the unpruned tables); `0` when the gate did not run.
-    pub gate_dp_est: u64,
-    /// The gate's prune-work estimate (dominance cost comparisons across
-    /// distinct pruning signatures); `0` when the gate did not run.
-    pub gate_prune_est: u64,
     /// Number of Pareto points on the strategy frontier the search
     /// produced. `0` for a scalar (non-frontier) search.
     pub frontier_len: usize,

@@ -224,21 +224,18 @@ pub(crate) struct Prepared {
 }
 
 /// The prelude of every DP fill — [`drive`] and the [`crate::reference`]
-/// oracles: stats initialization tagged with `engine`, the structure build
-/// (unless `prebuilt` is supplied — the adaptive gate builds it once for
-/// its estimate), and the budget-accounted plan pass. `Err` carries the
+/// oracles: stats initialization tagged with `engine`, the structure
+/// build, and the budget-accounted plan pass. `Err` carries the
 /// `Oom`/`Timeout` the plan pass hit before any fill.
 pub(crate) fn prepare(
     graph: &Graph,
     tables: &CostTables,
     opts: &DpOptions,
     trace: Option<&Trace>,
-    prebuilt: Option<VertexStructure>,
     engine: &'static str,
 ) -> Result<Prepared, Box<SearchOutcome>> {
     let start = Instant::now();
-    let structure =
-        prebuilt.unwrap_or_else(|| build_structure(graph, opts.ordering, opts.mode, trace));
+    let structure = build_structure(graph, opts.ordering, opts.mode, trace);
     let deadline = start + opts.budget.max_time;
     let mut stats = SearchStats {
         max_dependent_set: structure.max_dependent_set(),
@@ -623,18 +620,12 @@ impl DpValue for MinTime {
 /// counters after each wave, and [`pase_obs::phase::BACKTRACK`] for
 /// strategy extraction. Results are identical with and without a trace,
 /// and at any rayon thread count.
-///
-/// Accepts a caller-supplied [`VertexStructure`] (which depends only on the
-/// graph, ordering, and connected-set mode — never on the tables, so one
-/// build serves the adaptive gate's estimation, a pruned DP, and an
-/// unpruned DP alike).
 pub(crate) fn drive<V: DpValue>(
     value: &V,
     graph: &Graph,
     tables: &CostTables,
     opts: &DpOptions,
     trace: Option<&Trace>,
-    prebuilt: Option<VertexStructure>,
 ) -> Result<Filled, GraphError> {
     let Prepared {
         start,
@@ -642,7 +633,7 @@ pub(crate) fn drive<V: DpValue>(
         structure,
         plans,
         mut stats,
-    } = match prepare(graph, tables, opts, trace, prebuilt, V::ENGINE) {
+    } = match prepare(graph, tables, opts, trace, V::ENGINE) {
         Ok(p) => p,
         Err(outcome) => {
             return Ok(Filled {
@@ -1062,7 +1053,6 @@ pub(crate) mod tests {
             &MachineSpec::test_machine(),
             &pase_cost::TableOptions {
                 intern_min_nodes: 0,
-                ..pase_cost::TableOptions::default()
             },
         );
         let r = Search::new(&g).tables(&tables).run().expect_found("stats");

@@ -36,7 +36,6 @@ mod budget;
 mod dp;
 mod error;
 mod frontier;
-mod gate;
 pub mod kernel;
 mod ordering;
 mod pool;
@@ -46,17 +45,16 @@ mod report;
 mod search;
 mod structure;
 
-pub use brute::{brute_force, brute_force_pruned, random_strategy_costs};
+pub use brute::{brute_force, random_strategy_costs};
 pub use budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
 pub use dp::naive_best_strategy;
 pub use error::Error;
 pub use frontier::{cheapest_within, FrontierPoint, StrategyFrontier};
-pub use gate::PruneGate;
 pub use ordering::{
     dependent_set_sizes, generate_seq, generate_seq_with_sets, make_ordering, search_profile,
     OrderingKind, PositionProfile,
 };
 pub use reduction::{optcnn_search, optcnn_search_pruned, ReductionOutcome};
 pub use report::{PhaseReport, SearchReport, SCHEMA_VERSION};
-pub use search::{Search, SearchRun};
+pub use search::{PruneGate, Search, SearchRun};
 pub use structure::{ConnectedSetMode, VertexStructure};

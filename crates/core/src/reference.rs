@@ -128,7 +128,7 @@ fn prepare(
     trace: Option<&Trace>,
     engine: &'static str,
 ) -> Prepared {
-    dp::prepare(graph, tables, &DpOptions::default(), trace, None, engine)
+    dp::prepare(graph, tables, &DpOptions::default(), trace, engine)
         .unwrap_or_else(|o| panic!("reference search ended {} before the fill", o.tag()))
 }
 

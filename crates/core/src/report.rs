@@ -25,8 +25,10 @@ use std::time::Duration;
 /// `"infeasible"` outcome tag of memory-constrained searches. 4
 /// introduced topology-aware device meshes: `stats.mesh_axes`, the wire
 /// protocol's inline `"machine"` object, and a cache key that hashes the
-/// full mesh-axis list instead of three scalar machine rates.
-pub const SCHEMA_VERSION: u64 = 4;
+/// full mesh-axis list instead of three scalar machine rates. 5 dropped
+/// the retired adaptive prune gate's `stats.prune_skipped`,
+/// `stats.gate_dp_est` and `stats.gate_prune_est`.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Aggregated wall time of one pipeline phase.
 #[derive(Clone, Debug, PartialEq)]
@@ -99,8 +101,6 @@ impl SearchReport {
              \"peak_table_bytes\": {}, \"states_evaluated\": {}, \
              \"wavefronts\": {}, \"max_wavefront_width\": {}, \
              \"intern_hit_rate\": {}, \"dp_kernel\": \"{}\", \
-             \"prune_skipped\": {}, \
-             \"gate_dp_est\": {}, \"gate_prune_est\": {}, \
              \"frontier_len\": {}, \"peak_strategy_bytes\": {}, \
              \"mesh_axes\": {}, \"elapsed\": {}}}",
             s.max_dependent_set,
@@ -115,9 +115,6 @@ impl SearchReport {
             s.intern_hit_rate
                 .map_or_else(|| "null".to_string(), |h| json::number(h).to_string()),
             json::escape(s.dp_kernel),
-            s.prune_skipped,
-            s.gate_dp_est,
-            s.gate_prune_est,
             s.frontier_len,
             s.peak_strategy_bytes,
             s.mesh_axes,
@@ -206,7 +203,7 @@ mod tests {
         let r = SearchReport::new("trans\"former", 64, &found_outcome(), None);
         let js = r.to_json();
         assert!(js.starts_with('{') && js.ends_with('}'));
-        assert!(js.starts_with("{\"schema_version\": 4"));
+        assert!(js.starts_with("{\"schema_version\": 5"));
         assert!(js.contains("\"mesh_axes\": 0"));
         assert!(js.contains("\"model\": \"trans\\\"former\""));
         assert!(js.contains("\"devices\": 64"));

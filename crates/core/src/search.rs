@@ -21,15 +21,14 @@
 //! mesh.
 
 use crate::budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats};
-use crate::dp::{build_structure, drive, DpOptions, DpValue, MinTime};
+use crate::dp::{drive, DpOptions, DpValue, MinTime};
 use crate::error::Error;
 use crate::frontier::{Pareto, StrategyFrontier};
-use crate::gate::{self, PruneGate};
 use crate::ordering::OrderingKind;
-use crate::structure::{ConnectedSetMode, VertexStructure};
+use crate::structure::ConnectedSetMode;
 use pase_cost::{
-    estimate_prune_work, ConfigRule, ConfigSpace, CostTables, DeviceMesh, MachineSpec,
-    NonFiniteCost, PruneOptions, PrunedTables, TableOptions,
+    ConfigRule, ConfigSpace, CostTables, DeviceMesh, MachineSpec, NonFiniteCost, PruneOptions,
+    PrunedTables, TableOptions,
 };
 use pase_graph::{Graph, GraphError};
 use pase_obs::Trace;
@@ -70,11 +69,9 @@ pub struct Search<'a> {
     devices: u32,
     mesh: DeviceMesh,
     rule: Option<ConfigRule>,
-    table_opts: TableOptions,
     space: Option<&'a ConfigSpace>,
     tables: Option<&'a CostTables>,
     prune: Option<PruneOptions>,
-    gate: PruneGate,
     dp: DpOptions,
     trace: Option<&'a Trace>,
     max_memory_bytes: Option<u64>,
@@ -90,11 +87,9 @@ impl<'a> Search<'a> {
             devices: 8,
             mesh: DeviceMesh::flat(&MachineSpec::gtx1080ti()),
             rule: None,
-            table_opts: TableOptions::default(),
             space: None,
             tables: None,
             prune: None,
-            gate: PruneGate::On,
             dp: DpOptions::default(),
             trace: None,
             max_memory_bytes: None,
@@ -146,22 +141,11 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// When to run the dominance prune (default [`PruneGate::On`]):
-    ///
-    /// * [`PruneGate::On`] — prune iff [`Search::pruning`] was called (the
-    ///   historical behavior);
-    /// * [`PruneGate::Off`] — never prune, even with options supplied;
-    /// * [`PruneGate::Auto`] — estimate DP work vs. prune work and prune
-    ///   only when predicted to pay off, using the supplied
-    ///   [`PruneOptions`] (or the exact-mode default when none were given).
-    ///   The decision and both estimates land in
-    ///   [`crate::SearchStats::prune_skipped`] / `gate_dp_est` /
-    ///   `gate_prune_est`.
-    ///
-    /// Exact (ε = 0) pruning is bit-identical to not pruning, so with
-    /// default prune options every gate mode returns the same optimum.
-    pub fn prune_gate(mut self, gate: PruneGate) -> Self {
-        self.gate = gate;
+    /// A no-op kept so that callers written against the retired adaptive
+    /// gate still compile: the prune runs iff [`Search::pruning`] was
+    /// called.
+    #[doc(hidden)]
+    pub fn prune_gate(self, _gate: PruneGate) -> Self {
         self
     }
 
@@ -175,12 +159,6 @@ impl<'a> Search<'a> {
     /// [`ConnectedSetMode::Prefix`] gives the naive recurrence (2)).
     pub fn connected_sets(mut self, mode: ConnectedSetMode) -> Self {
         self.dp.mode = mode;
-        self
-    }
-
-    /// Cost-table construction options (interning, parallel build).
-    pub fn table_options(mut self, opts: TableOptions) -> Self {
-        self.table_opts = opts;
         self
     }
 
@@ -258,13 +236,13 @@ impl<'a> Search<'a> {
                         rule,
                         &self.mesh,
                         space,
-                        &self.table_opts,
+                        &TableOptions::default(),
                     ),
                     None => CostTables::build_mesh(
                         self.graph,
                         rule,
                         &self.mesh,
-                        &self.table_opts,
+                        &TableOptions::default(),
                         self.trace,
                     ),
                 };
@@ -295,38 +273,13 @@ impl<'a> Search<'a> {
                 frontier: None,
             };
         }
-        // Resolve the gate into (prune options to use, gate telemetry).
-        // Auto builds the ordering + structure up front — the structure
-        // depends only on (graph, ordering, mode), so the DP reuses it
-        // verbatim and the gate's only extra work is the two estimates.
-        let mut prebuilt: Option<VertexStructure> = None;
-        let mut gate_stats: Option<(bool, u64, u64)> = None;
-        let popts: Option<PruneOptions> = match self.gate {
-            PruneGate::On => self.prune,
-            PruneGate::Off => None,
-            PruneGate::Auto if self.graph.is_empty() => self.prune,
-            PruneGate::Auto => {
-                let structure =
-                    build_structure(self.graph, self.dp.ordering, self.dp.mode, self.trace);
-                let dp_est = gate::estimate_dp_work(&structure, tables.get());
-                let prune_est = estimate_prune_work(self.graph, tables.get());
-                let keep = gate::prune_pays_off(dp_est, prune_est);
-                prebuilt = Some(structure);
-                gate_stats = Some((!keep, dp_est, prune_est));
-                if keep {
-                    Some(self.prune.unwrap_or_default())
-                } else {
-                    None
-                }
-            }
-        };
         let filled = if self.frontier_mode() {
             let value = Pareto {
                 width: self.dp.frontier_width,
             };
-            self.fill(&value, tables.get(), popts, prebuilt)
+            self.fill(&value, tables.get())
         } else {
-            self.fill(&MinTime, tables.get(), popts, prebuilt)
+            self.fill(&MinTime, tables.get())
         };
         let Filled {
             mut outcome,
@@ -367,7 +320,6 @@ impl<'a> Search<'a> {
         } else if let SearchOutcome::Found(r) = &mut outcome {
             r.stats.peak_strategy_bytes = tables.get().strategy_memory_bytes(&r.config_ids);
         }
-        apply_gate_stats(&mut outcome, gate_stats);
         outcome.stats_mut().mesh_axes = tables.get().mesh().axes.len();
         SearchRun {
             outcome: Ok(outcome),
@@ -383,7 +335,8 @@ impl<'a> Search<'a> {
     }
 
     /// Run the DP driver over `value` — the scalar or the frontier DP
-    /// value — on `tables`, behind the dominance prune when `popts` is set.
+    /// value — on `tables`, behind the dominance prune when
+    /// [`Search::pruning`] was called.
     ///
     /// The prune (a [`pase_obs::phase::PRUNE`] span) compacts the tables
     /// first — every dependent-set table is `∏ |C(w)|` entries wide, so the
@@ -404,18 +357,10 @@ impl<'a> Search<'a> {
     /// budget's wall clock and in `stats.elapsed`. If the prune alone
     /// exhausts the time budget the outcome is [`SearchOutcome::Timeout`] —
     /// the engine is never entered with a zero budget, where its OOM check
-    /// could fire first and mislabel the failure. A prebuilt structure is
-    /// table-independent, so the one the adaptive gate built drives the
-    /// pruned engine unchanged.
-    fn fill<V: DpValue>(
-        &self,
-        value: &V,
-        tables: &CostTables,
-        popts: Option<PruneOptions>,
-        prebuilt: Option<VertexStructure>,
-    ) -> Result<Filled, GraphError> {
-        let Some(mut popts) = popts else {
-            return drive(value, self.graph, tables, &self.dp, self.trace, prebuilt);
+    /// could fire first and mislabel the failure.
+    fn fill<V: DpValue>(&self, value: &V, tables: &CostTables) -> Result<Filled, GraphError> {
+        let Some(mut popts) = self.prune else {
+            return drive(value, self.graph, tables, &self.dp, self.trace);
         };
         popts.memory_aware |= self.frontier_mode();
         let pruned = PrunedTables::build_traced(self.graph, tables, &popts, self.trace);
@@ -433,14 +378,7 @@ impl<'a> Search<'a> {
         } else {
             let mut remaining = self.dp;
             remaining.budget.max_time -= ps.elapsed;
-            drive(
-                value,
-                self.graph,
-                pruned.tables(),
-                &remaining,
-                self.trace,
-                prebuilt,
-            )?
+            drive(value, self.graph, pruned.tables(), &remaining, self.trace)?
         };
         if let SearchOutcome::Found(r) = &mut filled.outcome {
             r.config_ids = pruned.to_original_ids(&r.config_ids);
@@ -464,15 +402,15 @@ pub(crate) struct Filled {
     pub(crate) frontier: Option<StrategyFrontier>,
 }
 
-/// Fold the `PruneGate::Auto` telemetry into whichever stats the outcome
-/// carries (no-op when the gate did not run).
-fn apply_gate_stats(outcome: &mut SearchOutcome, gate_stats: Option<(bool, u64, u64)>) {
-    if let Some((skipped, dp_est, prune_est)) = gate_stats {
-        let stats = outcome.stats_mut();
-        stats.prune_skipped = skipped;
-        stats.gate_dp_est = dp_est;
-        stats.gate_prune_est = prune_est;
-    }
+/// The one prune behaviour: prune iff [`Search::pruning`] was called. The
+/// type survives only so that callers of [`Search::prune_gate`] and
+/// `pase_serve::Request::prune_gate` keep compiling.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum PruneGate {
+    /// Prune iff [`Search::pruning`] was called.
+    #[default]
+    On,
 }
 
 /// The cost tables a [`SearchRun`] ran on: borrowed when the caller

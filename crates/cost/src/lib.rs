@@ -59,7 +59,7 @@ pub use layer::layer_cost;
 pub use machine::MachineSpec;
 pub use memory::config_memory_bytes;
 pub use mesh::{mesh_layer_cost, mesh_transfer_cost, DeviceMesh, MeshAxis};
-pub use prune::{estimate_prune_work, PruneOptions, PruneStats, PrunedTables};
+pub use prune::{PruneOptions, PruneStats, PrunedTables};
 pub use sharding::{replication, shard_bytes, shard_elements, tensor_sharding};
 pub use strategy::{evaluate, validate_strategy, Strategy};
 pub use tables::{CostTables, InternStats, NonFiniteCost, TableOptions};

@@ -407,36 +407,6 @@ fn keep_set<'t>(
     kept
 }
 
-/// Estimate the cost-comparison count a [`PrunedTables::build`] over these
-/// tables would pay, for the adaptive prune gate: per distinct pruning
-/// signature, the worst-case dominance scan is `k²` candidate pairs, each
-/// comparing one layer cost plus every entry of every incident edge view
-/// (`k_dst` per out-edge row, `k_src` per in-edge column). This
-/// deliberately re-runs only the cheap `O(|V| + |E|)` signature-grouping
-/// pass — never the scans themselves — so the gate's overhead stays
-/// negligible against either branch of its decision. Saturating, for the
-/// same reason the DP estimate saturates: enormous estimates only ever
-/// compare against other enormous numbers.
-pub fn estimate_prune_work(graph: &Graph, tables: &CostTables) -> u64 {
-    group_signatures(graph, tables)
-        .distinct
-        .iter()
-        .fold(0u64, |total, sig| {
-            let k = tables.layer_pool[layer_class(sig)].configs.len() as u64;
-            // 1: the layer-cost comparison.
-            let per_pair = sig_edges(sig, tables).fold(1u64, |acc, (table, is_src)| {
-                let kd = table.k_dst as usize;
-                let len = if is_src {
-                    kd
-                } else {
-                    table.costs.len() / kd.max(1)
-                };
-                acc.saturating_add(len as u64)
-            });
-            total.saturating_add(k.saturating_mul(k).saturating_mul(per_pair))
-        })
-}
-
 /// The entries of `src` at the kept configurations.
 fn compact_layer(src: &LayerEntry, kept: &[u16]) -> LayerEntry {
     LayerEntry {

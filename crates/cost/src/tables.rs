@@ -53,21 +53,18 @@ use std::sync::Arc;
 /// How [`CostTables::build_with`] constructs the tables.
 #[derive(Clone, Copy, Debug)]
 pub struct TableOptions {
-    /// Share tables between structurally identical nodes/edges (always
-    /// bit-identical to an uninterned build; disable only for A/B
-    /// measurement).
-    pub intern: bool,
-    /// Smallest graph (node count) on which interning is attempted. On tiny
-    /// graphs the structural-key hashing costs more than the table work it
-    /// could share (AlexNet/RNNLM regress with 0% hit rate), so interning is
-    /// skipped below this size. Set to 0 to always intern.
+    /// Smallest graph (node count) on which tables are shared between
+    /// structurally identical nodes and edges (always bit-identical to an
+    /// uninterned build). On tiny graphs the structural-key hashing costs
+    /// more than the table work it could share (AlexNet/RNNLM regress with
+    /// 0% hit rate), so interning is skipped below this size. Set to 0 to
+    /// always intern, or to `usize::MAX` to never intern.
     pub intern_min_nodes: usize,
 }
 
 impl Default for TableOptions {
     fn default() -> Self {
         Self {
-            intern: true,
             intern_min_nodes: 16,
         }
     }
@@ -82,7 +79,6 @@ const INTERN_PROBE_LIMIT: usize = 32;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InternStats {
     /// Whether structural interning was attempted at all. `false` when the
-    /// build disabled it (`TableOptions::intern = false`) or the
     /// `intern_min_nodes` size gate skipped it; `true` when keying ran,
     /// even if the probe limit later abandoned a hit-free prefix (that is
     /// a *measured* ~0% hit rate, not a skipped measurement).
@@ -111,7 +107,7 @@ impl InternStats {
     }
 
     /// [`InternStats::hit_rate`], distinguishing "interning never ran"
-    /// (`None` — the size gate or `intern: false` skipped it) from a
+    /// (`None` — the `intern_min_nodes` size gate skipped it) from a
     /// measured rate (`Some`, possibly 0.0). Reports that would otherwise
     /// print a misleading `0.0` for a skipped pass use this.
     pub fn hit_rate_opt(&self) -> Option<f64> {
@@ -372,7 +368,7 @@ impl CostTables {
         // identical either way.
         let mut span = span_in(trace, phase::INTERNING);
         let nodes = graph.nodes();
-        let mut intern = opts.intern && nodes.len() >= opts.intern_min_nodes;
+        let mut intern = nodes.len() >= opts.intern_min_nodes;
         // "Attempted" is the *initial* decision: a probe-limit abandonment
         // below still measured a real (near-zero) hit rate.
         let intern_attempted = intern;
@@ -776,7 +772,6 @@ mod tests {
     fn always_intern() -> TableOptions {
         TableOptions {
             intern_min_nodes: 0,
-            ..TableOptions::default()
         }
     }
 
@@ -817,8 +812,7 @@ mod tests {
                     rule,
                     &m,
                     &TableOptions {
-                        intern: false,
-                        ..TableOptions::default()
+                        intern_min_nodes: usize::MAX,
                     },
                 )
             });
@@ -908,8 +902,7 @@ mod tests {
             ConfigRule::new(4),
             &m,
             &TableOptions {
-                intern: false,
-                ..always_intern()
+                intern_min_nodes: usize::MAX,
             },
         );
         assert!(!off.intern_stats().attempted);

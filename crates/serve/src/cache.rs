@@ -685,12 +685,13 @@ mod tests {
     fn keys_match_their_pinned_values() {
         // The keys `pase query --model alexnet --devices 8` and
         // `--model mlp --devices 8 --frontier` were served before the key
-        // was split into graph_digest + finish_key. Keys name --cache-dir
-        // files, so they must never drift without a schema bump.
+        // was split into graph_digest + finish_key, re-pinned at the
+        // schema 5 bump. Keys name --cache-dir files, so they must never
+        // drift without a schema bump.
         let flat = DeviceMesh::flat(&MachineSpec::gtx1080ti());
         for (model, frontier, expect) in [
-            ("alexnet", false, 0x5eb4_c9e2_55cf_9657u64),
-            ("mlp", true, 0x1f2e_fcb8_c3a0_3cee),
+            ("alexnet", false, 0xb0ad_d00f_a57c_bfaau64),
+            ("mlp", true, 0x9e11_4ee3_c61f_269f),
         ] {
             let g = pase_models::build_named(model, 8, false).unwrap();
             let rule = ConfigRule::new(8);

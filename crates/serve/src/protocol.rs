@@ -16,14 +16,13 @@
 //! ```
 //!
 //! Only `"model"` is required. Defaults: 8 devices, the `1080ti` profile,
-//! weak scaling on, pruning off, prune gate `"on"`, the standard
-//! [`SearchBudget`], and the server's configured per-request deadline.
-//! `"prune_gate"` may be `"on"`, `"off"`, or `"auto"` (the adaptive gate;
-//! never changes the returned optimum, only whether the dominance prune
-//! runs). Unknown fields are ignored — among them `"dp_kernel"`, which
-//! older servers accepted to pick the DP fill loop and which never changed
-//! an answer; `stats.dp_kernel` in the embedded report still names the
-//! engine that ran.
+//! weak scaling on, pruning off, the standard [`SearchBudget`], and the
+//! server's configured per-request deadline. With `"prune": true` the
+//! dominance prune always runs. Unknown fields are ignored — among them
+//! two that older servers accepted and that never changed an answer:
+//! `"dp_kernel"`, which picked the DP fill loop (`stats.dp_kernel` in the
+//! embedded report still names the engine that ran), and `"prune_gate"`,
+//! which could skip the prune.
 //!
 //! `"machine"` also accepts an **inline object** (schema_version 4+)
 //! instead of a profile name — either a scalar machine
@@ -186,8 +185,8 @@ pub struct Request {
     pub prune: bool,
     /// Prune slack ε (default 0.0 = exact; only meaningful with `prune`).
     pub epsilon: f64,
-    /// When to run the prune: `"on"` (iff `prune`), `"off"`, or `"auto"`
-    /// (the adaptive gate; default `"on"`).
+    /// Always [`PruneGate::On`]: the wire's `"prune_gate"` is ignored.
+    #[doc(hidden)]
     pub prune_gate: PruneGate,
     /// Search budget (entry cap / wall clock from the request, with the
     /// time cap still subject to the server's per-request deadline).
@@ -274,12 +273,6 @@ impl Request {
                 .ok_or_else(|| Error::Protocol("\"epsilon\" must be a number ≥ 0".into()))?,
             None => 0.0,
         };
-        let prune_gate = match v.get("prune_gate") {
-            Some(g) => g.as_str().and_then(PruneGate::parse).ok_or_else(|| {
-                Error::Protocol("\"prune_gate\" must be \"auto\", \"on\", or \"off\"".into())
-            })?,
-            None => PruneGate::On,
-        };
         let max_memory_bytes = match v.get("max_memory_bytes") {
             Some(b) => Some(b.as_u64().ok_or_else(|| {
                 Error::Protocol("\"max_memory_bytes\" must be a non-negative integer".into())
@@ -293,7 +286,7 @@ impl Request {
             weak_scaling: bool_field("weak_scaling", true)?,
             prune: bool_field("prune", false)?,
             epsilon,
-            prune_gate,
+            prune_gate: PruneGate::On,
             budget,
             deadline,
             max_memory_bytes,
@@ -523,12 +516,14 @@ mod tests {
     }
 
     #[test]
-    fn the_retired_dp_kernel_field_is_ignored_like_any_unknown_field() {
+    fn retired_fields_are_ignored_like_any_unknown_field() {
         let plain = Request::parse("{\"model\": \"mlp\"}").unwrap();
         for legacy in [
             "{\"model\": \"mlp\", \"dp_kernel\": \"scalar\"}",
             "{\"model\": \"mlp\", \"dp_kernel\": \"tiled\"}",
             "{\"model\": \"mlp\", \"dp_kernel\": 1}",
+            "{\"model\": \"mlp\", \"prune_gate\": \"off\"}",
+            "{\"model\": \"mlp\", \"prune_gate\": \"maybe\"}",
         ] {
             assert_eq!(Request::parse(legacy).unwrap(), plain, "{legacy}");
         }
@@ -671,25 +666,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_requests_and_gate_values_parse() {
+    fn stats_requests_parse() {
         assert_eq!(
             RequestKind::parse("{\"stats\": true}").unwrap(),
             RequestKind::Stats
         );
         assert!(matches!(
             RequestKind::parse("{\"stats\": 1}"),
-            Err(Error::Protocol(_))
-        ));
-        match RequestKind::parse("{\"model\": \"mlp\", \"prune_gate\": \"auto\"}").unwrap() {
-            RequestKind::Search(r) => assert_eq!(r.prune_gate, PruneGate::Auto),
-            other => panic!("expected a search request, got {other:?}"),
-        }
-        assert_eq!(
-            Request::parse("{\"model\": \"mlp\"}").unwrap().prune_gate,
-            PruneGate::On
-        );
-        assert!(matches!(
-            Request::parse("{\"model\": \"mlp\", \"prune_gate\": \"maybe\"}"),
             Err(Error::Protocol(_))
         ));
     }

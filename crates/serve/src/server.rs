@@ -728,7 +728,6 @@ pub(crate) fn answer_search(req: &Request, shared: &Shared, out: &mut String) {
         .rule(rule)
         .mesh(req.machine.clone())
         .budget(budget)
-        .prune_gate(req.prune_gate)
         .trace(&trace);
     if req.prune {
         search = search.pruning(PruneOptions {
@@ -1189,12 +1188,17 @@ mod tests {
 
     #[test]
     fn a_request_carrying_the_retired_dp_kernel_field_gets_the_same_answer() {
-        // Older servers accepted "dp_kernel" to pick the DP fill loop; it
-        // never changed an answer and is now ignored like any unknown
-        // field. Each request goes to a fresh server so both are misses.
-        let legacy = MLP.replace('}', ", \"dp_kernel\": \"scalar\"}");
+        // Older servers accepted "dp_kernel" to pick the DP fill loop and
+        // "prune_gate" to skip the prune; neither ever changed an answer,
+        // and both are now ignored like any unknown field. Each request
+        // goes to a fresh server so every one is a miss.
+        let mut lines = vec![MLP.replace('}', ", \"dp_kernel\": \"scalar\"}")];
+        for gate in ["on", "off", "auto", "maybe"] {
+            lines.push(MLP.replace('}', &format!(", \"prune_gate\": \"{gate}\"}}")));
+        }
+        lines.push(MLP.to_string());
         let mut answers = Vec::new();
-        for line in [legacy.as_str(), MLP] {
+        for line in &lines {
             let (addr, handle, join) = start(ServerConfig::default());
             answers.push(query(addr, line));
             handle.shutdown();
@@ -1206,12 +1210,15 @@ mod tests {
                 .and_then(|s| s.get("dp_kernel"))
                 .cloned()
         };
-        for field in ["cached", "cache_key", "cost", "strategy"] {
-            assert_eq!(answers[0].get(field), answers[1].get(field), "{field}");
+        let plain = answers.last().expect("the plain request");
+        for (line, answer) in lines.iter().zip(&answers) {
+            for field in ["cached", "cache_key", "cost", "strategy"] {
+                assert_eq!(answer.get(field), plain.get(field), "{line}: {field}");
+            }
+            assert_eq!(engine(answer), engine(plain), "{line}");
         }
-        assert_eq!(engine(&answers[0]), engine(&answers[1]));
         assert_eq!(
-            engine(&answers[0]).as_ref().and_then(|k| k.as_str()),
+            engine(plain).as_ref().and_then(|k| k.as_str()),
             Some("tiled")
         );
     }

@@ -55,7 +55,7 @@ Two further modes:
 import json
 import sys
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def check_batch(path: str, n: int) -> None:

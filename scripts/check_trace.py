@@ -7,8 +7,7 @@ Checks:
   * both files parse as JSON;
   * the trace contains one "X" span for every pipeline phase (enumeration,
     interning, table_build, prune, structure, plan, backtrack) and at least
-    one per-wavefront fill span; when the adaptive gate skipped the prune
-    (stats.prune_skipped), the prune span must be ABSENT instead of empty;
+    one per-wavefront fill span;
   * every DP fill runs a packing microkernel (stats.dp_kernel "tiled", or
     "frontier-tiled" for Pareto-frontier searches), so the trace must
     contain the nested "kernel" sub-span and a packed_bytes counter sample;
@@ -47,23 +46,16 @@ def main() -> None:
     report = spec.get("search_report")
     if not isinstance(report, dict):
         fail("spec has no embedded search_report object")
-    prune_skipped = bool(report["stats"].get("prune_skipped", False))
 
     required = {
         "enumeration",
         "interning",
         "table_build",
+        "prune",
         "structure",
         "plan",
         "backtrack",
     }
-    if prune_skipped:
-        # The adaptive gate decided the prune would not pay off: the phase
-        # never ran, so it must not leave an empty span behind.
-        if "prune" in names:
-            fail("stats.prune_skipped is set but the trace has a prune span")
-    else:
-        required.add("prune")
     missing = required - names
     if missing:
         fail(f"missing phase spans: {sorted(missing)} (have: {sorted(names)})")

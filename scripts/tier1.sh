@@ -3,9 +3,10 @@
 # full test suite, a smoke run of the search A/B benchmark so the
 # exactness assertions in bench_search (pruned optimum bit-identical to
 # unpruned, flat-mesh optimum bit-identical to scalar) execute on the
-# real benchmark graphs, a trace smoke test validating the --trace-out
-# Chrome-trace output end to end, and a mesh smoke planning one model
-# across three device-mesh shapes through the serve path.
+# real benchmark graphs, the perfbench self-test, a trace smoke test
+# validating the --trace-out Chrome-trace output end to end, and a mesh
+# smoke planning one model across three device-mesh shapes through the
+# serve path.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,6 +23,10 @@ cargo test -q --release --test table_parity -- --include-ignored
 # Every keep set equal to the plain pairwise dominance scan, including the
 # p = 64 sweep (and InceptionV3 p = 32 and 64).
 cargo test -q --release --test prune_parity -- --include-ignored
+# The benchmark harness under perfbench/ builds against the library's
+# public API: build it and run its determinism and oracle tests, so an API
+# change that breaks it fails here rather than at benchmark time.
+python3 perfbench/run.py --self-test
 
 # Smoke: regenerates BENCH_search.json; fails if pruning ever changes the
 # optimum on any model at p ∈ {8, 32, 64}.
@@ -39,22 +44,6 @@ cargo run -p pase-cli --release --bin pase -- search \
     --model transformer --devices 64 \
     --trace-out "$trace_dir/trace.json" --json --out "$trace_dir/spec.json"
 python3 scripts/check_trace.py "$trace_dir/trace.json" "$trace_dir/spec.json"
-
-# Gate smoke: with --prune-gate=auto on AlexNet the prune must be skipped
-# (stats.prune_skipped in the report) and the trace must then contain NO
-# prune span — check_trace.py asserts both directions.
-./target/release/pase search --model alexnet --devices 32 --prune-gate auto \
-    --trace-out "$trace_dir/gate_trace.json" --json \
-    --out "$trace_dir/gate_spec.json"
-python3 - "$trace_dir/gate_spec.json" <<'EOF'
-import json, sys
-stats = json.load(open(sys.argv[1]))["search_report"]["stats"]
-assert stats["prune_skipped"], f"gate=auto must skip the prune on alexnet p=32: {stats}"
-assert stats["gate_dp_est"] > 0 and stats["gate_prune_est"] > 0, stats
-print("gate smoke OK: prune skipped, dp_est", stats["gate_dp_est"],
-      "prune_est", stats["gate_prune_est"])
-EOF
-python3 scripts/check_trace.py "$trace_dir/gate_trace.json" "$trace_dir/gate_spec.json"
 
 # Concurrent-serve smoke: small load cells against the sharded (threaded)
 # and event front ends, a nonzero idle-swarm cell (32 idle connections

@@ -230,13 +230,13 @@ proptest! {
                 &g,
                 ConfigRule::new(8),
                 &machine,
-                &TableOptions { intern: true, intern_min_nodes: 0 },
+                &TableOptions { intern_min_nodes: 0 },
             );
             let plain = CostTables::build_with(
                 &g,
                 ConfigRule::new(8),
                 &machine,
-                &TableOptions { intern: false, ..TableOptions::default() },
+                &TableOptions { intern_min_nodes: usize::MAX },
             );
             (interned, plain)
         });

@@ -272,7 +272,6 @@ fn random_case(d: &mut Draw) -> (Graph, CostTables, PruneOptions) {
     let mesh = hostile_mesh(d);
     let opts = TableOptions {
         intern_min_nodes: 0,
-        ..TableOptions::default()
     };
     let t = CostTables::build_mesh_with_space(&g, ConfigRule::new(8), &mesh, &space, &opts);
     let popts = PruneOptions {

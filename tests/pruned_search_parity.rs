@@ -1,9 +1,9 @@
-//! Adaptive-gate parity: `--prune-gate` may change *when* the dominance
-//! prune runs, never *what* the search returns. Every gate mode must give
-//! bit-identical cost and config ids on random DAGs and on the four paper
-//! benchmarks — the Auto mode's decision is purely a time/work tradeoff.
+//! Pruned-vs-unpruned parity: the exact (ε = 0) dominance prune may change
+//! how long a search takes, never what it returns. A pruned search must
+//! give the unpruned search's cost bit for bit *and* the same config ids,
+//! on random DAGs and on the four paper benchmarks at full size.
 
-use pase::core::{PruneGate, Search, SearchResult};
+use pase::core::{Search, SearchResult};
 use pase::cost::{ConfigRule, CostTables, MachineSpec, PruneOptions};
 use pase::graph::{DimRole, Graph, GraphBuilder, IterDim, Node, NodeId, OpKind, TensorRef};
 use pase::models::Benchmark;
@@ -71,78 +71,47 @@ fn build_graph(dag: &RandomDag) -> Graph {
     b.build().expect("random dag builds")
 }
 
-/// Run the search over prebuilt tables in one gate mode, pruning requested.
-fn run_gated(graph: &Graph, tables: &CostTables, gate: PruneGate) -> SearchResult {
-    Search::new(graph)
-        .tables(tables)
-        .pruning(PruneOptions::default())
-        .prune_gate(gate)
-        .run()
-        .expect_found("gated search")
-}
-
-fn assert_parity(graph: &Graph, tables: &CostTables, label: &str) {
-    let on = run_gated(graph, tables, PruneGate::On);
-    let off = run_gated(graph, tables, PruneGate::Off);
-    let auto = run_gated(graph, tables, PruneGate::Auto);
-    assert_eq!(
-        on.cost.to_bits(),
-        off.cost.to_bits(),
-        "{label}: gate=on vs gate=off cost"
-    );
-    assert_eq!(
-        on.cost.to_bits(),
-        auto.cost.to_bits(),
-        "{label}: gate=on vs gate=auto cost"
-    );
-    assert_eq!(on.config_ids, off.config_ids, "{label}: on vs off ids");
-    assert_eq!(on.config_ids, auto.config_ids, "{label}: on vs auto ids");
-    // Gate bookkeeping invariants: only Auto records estimates or skips.
-    assert!(!on.stats.prune_skipped);
-    assert!(!off.stats.prune_skipped);
-    assert_eq!(on.stats.gate_dp_est, 0);
-    assert!(
-        auto.stats.gate_dp_est > 0,
-        "{label}: auto must record its DP estimate"
-    );
-    assert!(auto.stats.gate_prune_est > 0);
-    if auto.stats.prune_skipped {
-        assert_eq!(
-            auto.stats.prune_time.as_nanos(),
-            0,
-            "{label}: a skipped prune must not cost prune time"
-        );
+/// Run the search over prebuilt tables, with or without the exact prune.
+fn run(graph: &Graph, tables: &CostTables, prune: bool) -> SearchResult {
+    let mut search = Search::new(graph).tables(tables);
+    if prune {
+        search = search.pruning(PruneOptions::default());
     }
+    search.run().expect_found("search")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// gate=auto is bit-identical to gate=on and gate=off on random DAGs,
-    /// whichever way its estimate falls.
+    /// The pruned search is bit-identical to the unpruned one on random
+    /// DAGs, ids included.
     #[test]
-    fn gate_modes_agree_on_random_dags(dag in arb_dag(7)) {
+    fn pruned_matches_unpruned_on_random_dags(dag in arb_dag(7)) {
         let g = build_graph(&dag);
         let tables = CostTables::build(&g, ConfigRule::new(4), &MachineSpec::test_machine());
-        let on = run_gated(&g, &tables, PruneGate::On);
-        let off = run_gated(&g, &tables, PruneGate::Off);
-        let auto = run_gated(&g, &tables, PruneGate::Auto);
-        prop_assert_eq!(on.cost.to_bits(), off.cost.to_bits());
-        prop_assert_eq!(on.cost.to_bits(), auto.cost.to_bits());
-        prop_assert_eq!(&on.config_ids, &off.config_ids);
-        prop_assert_eq!(&on.config_ids, &auto.config_ids);
+        let pruned = run(&g, &tables, true);
+        let plain = run(&g, &tables, false);
+        prop_assert_eq!(pruned.cost.to_bits(), plain.cost.to_bits());
+        prop_assert_eq!(&pruned.config_ids, &plain.config_ids);
     }
 }
 
-/// The four paper benchmarks at a mid-size p: parity must hold on the real
-/// workloads, including the cells where Auto decides differently from On
-/// (AlexNet skips, Transformer prunes).
+/// The four paper benchmarks at full size, p = 8: parity must hold on the
+/// real workloads, where the prune removes configurations.
 #[test]
-fn gate_modes_agree_on_paper_benchmarks() {
+fn pruned_matches_unpruned_on_paper_benchmarks() {
     for bench in Benchmark::all() {
         let p = 8;
         let graph = bench.build_for(p);
         let tables = CostTables::build(&graph, ConfigRule::new(p), &MachineSpec::gtx1080ti());
-        assert_parity(&graph, &tables, bench.name());
+        let label = bench.name();
+        let pruned = run(&graph, &tables, true);
+        let plain = run(&graph, &tables, false);
+        assert_eq!(
+            pruned.cost.to_bits(),
+            plain.cost.to_bits(),
+            "{label}: pruned vs unpruned cost"
+        );
+        assert_eq!(pruned.config_ids, plain.config_ids, "{label}: ids");
     }
 }

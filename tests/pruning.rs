@@ -4,7 +4,7 @@
 //! approximate), while strictly shrinking the configuration space whenever a
 //! dominated configuration exists.
 
-use pase::core::{Error, Search};
+use pase::core::{brute_force, Error, Search};
 use pase::cost::{
     enumerate_configs, Config, ConfigRule, ConfigSpace, CostTables, DeviceMesh, MachineSpec,
     PruneOptions, PrunedTables, TableOptions,
@@ -92,8 +92,9 @@ fn pruning_keeps_every_benchmark_config_list_nonempty() {
 
 /// A vertex with an empty configuration list leaves nothing to search:
 /// `Search::run` reports it as an error instead of panicking in the DP
-/// kernels, with and without the prune, and the prune itself neither
-/// panics nor invents a configuration.
+/// kernels, with and without the prune; the prune itself neither panics
+/// nor invents a configuration, and the brute-force oracle finds no
+/// strategy.
 #[test]
 fn an_empty_config_list_is_an_error_not_a_panic() {
     let g = build_named("rnnlm", 8, false).expect("rnnlm builds");
@@ -124,6 +125,10 @@ fn an_empty_config_list_is_an_error_not_a_panic() {
             }
         }
     }
+    // No strategy exists, so the exhaustive oracle names none either
+    // (it used to return id 0 for the vertex with nothing to choose).
+    let (cost, ids) = brute_force(&g, &tables);
+    assert_eq!((cost, ids.len()), (f64::INFINITY, 0));
     let pruned = PrunedTables::build(&g, &tables, &PruneOptions::default());
     assert!(pruned.kept_ids(NodeId(1)).is_empty());
     for v in g.node_ids().filter(|v| v.index() != 1) {

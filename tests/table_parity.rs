@@ -77,14 +77,12 @@ fn rules(g: &Graph, p: u32) -> Vec<(&'static str, ConfigRule)> {
 fn interned() -> TableOptions {
     TableOptions {
         intern_min_nodes: 0,
-        ..TableOptions::default()
     }
 }
 
 fn uninterned() -> TableOptions {
     TableOptions {
-        intern: false,
-        ..TableOptions::default()
+        intern_min_nodes: usize::MAX,
     }
 }
 
