@@ -1,17 +1,8 @@
 //! Concurrent load benchmark for the planner service.
 //!
-//! A/B-compares three server configurations per (model, p, concurrency)
-//! cell, driving N concurrent connections of mixed cached/uncached
-//! queries against an in-process server and measuring client-observed
-//! latency:
-//!
-//! - `baseline` — the PR 4 serve path: thread-per-connection, one cache
-//!   mutex, no request coalescing (`cache_shards = 1`,
-//!   `singleflight = false`).
-//! - `sharded`  — the PR 5 path: thread-per-connection with the
-//!   worker-derived stripe count and singleflight.
-//! - `event`    — the epoll readiness loop front end over the same
-//!   sharded cache and worker pool.
+//! Per (model, p, concurrency) cell it drives N concurrent connections of
+//! mixed cached/uncached queries against an in-process server and measures
+//! client-observed latency.
 //!
 //! Each client cycles through a small set of distinct cache keys (the
 //! prune ε is part of the key, so varying it makes fresh keys without
@@ -19,12 +10,11 @@
 //! contends on identical keys — the singleflight case — while steady
 //! state is cache-hit dominated, the lock-striping case.
 //!
-//! Two further dimensions target the event front end specifically:
+//! Two further dimensions:
 //!
 //! - **Idle swarm** (`idle_cells`): 512 idle keep-alive connections plus
-//!   16 active clients for a fixed window. Thread-per-connection pins its
-//!   whole worker pool on the swarm and serves (almost) nothing; the
-//!   event loop is unaffected.
+//!   16 active clients for a fixed window. The swarm costs the event loops
+//!   buffers, not workers, so the active clients keep being served.
 //! - **Batch** (`batch_cells`): 16 warmed queries as one wire batch vs 16
 //!   sequential round trips, comparing per-query p50.
 //!
@@ -36,11 +26,11 @@
 //! cargo run -p pase-bench --release --bin bench_serve -- --smoke # tier-1 gate
 //! ```
 //!
-//! `--smoke` runs a small cell against the sharded and event servers,
-//! a nonzero idle-swarm cell, and a batch-coalescing check, asserting
-//! counters and clean drains; it writes nothing.
+//! `--smoke` runs a small load cell, a nonzero idle-swarm cell, and a
+//! batch-coalescing check, asserting counters and clean drains; it writes
+//! nothing.
 
-use pase_serve::{FrontEnd, ServeSummary, Server, ServerConfig};
+use pase_serve::{ServeSummary, Server, ServerConfig};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -75,46 +65,6 @@ const IDLE_WINDOW: Duration = Duration::from_secs(2);
 const BATCH: usize = 16;
 /// Measured rounds per batch cell.
 const BATCH_ROUNDS: usize = 30;
-
-/// The three benchmarked server configurations.
-#[derive(Clone, Copy, PartialEq)]
-enum Config {
-    Baseline,
-    Sharded,
-    Event,
-}
-
-impl Config {
-    fn name(self) -> &'static str {
-        match self {
-            Config::Baseline => "baseline",
-            Config::Sharded => "sharded",
-            Config::Event => "event",
-        }
-    }
-
-    fn server(self, workers: usize) -> ServerConfig {
-        let (frontend, shards, singleflight) = match self {
-            Config::Baseline => (FrontEnd::Threaded, 1, false),
-            Config::Sharded => (FrontEnd::Threaded, 0, true),
-            Config::Event => (FrontEnd::Event, 0, true),
-        };
-        ServerConfig {
-            workers,
-            cache_shards: shards,
-            singleflight,
-            frontend,
-            ..ServerConfig::default()
-        }
-    }
-
-    fn frontend_name(self) -> &'static str {
-        match self {
-            Config::Event => "event",
-            _ => "threaded",
-        }
-    }
-}
 
 fn request_line(model: &str, devices: u32, key: usize) -> String {
     format!(
@@ -187,29 +137,28 @@ fn percentile(sorted: &[Duration], q: f64) -> f64 {
     sorted[idx].as_secs_f64()
 }
 
+/// Start a server with `workers` workers on an ephemeral port.
 fn start(
-    cfg: ServerConfig,
+    workers: usize,
 ) -> (
     SocketAddr,
     pase_serve::ShutdownHandle,
     std::thread::JoinHandle<ServeSummary>,
 ) {
-    let server = Server::bind(cfg).expect("bind");
+    let server = Server::bind(ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run().expect("run"));
     (addr, handle, join)
 }
 
-/// Run one (model, p, concurrency, config) cell against a fresh server.
-fn run_cell(
-    model: &str,
-    devices: u32,
-    concurrency: usize,
-    requests: usize,
-    config: Config,
-) -> CellResult {
-    let (addr, handle, join) = start(config.server(concurrency));
+/// Run one (model, p, concurrency) cell against a fresh server.
+fn run_cell(model: &str, devices: u32, concurrency: usize, requests: usize) -> CellResult {
+    let (addr, handle, join) = start(concurrency);
     let barrier = Arc::new(Barrier::new(concurrency));
     let clients: Vec<_> = (0..concurrency)
         .map(|c| {
@@ -250,14 +199,14 @@ struct IdleCellResult {
 /// `active` clients hammering a warmed key for a fixed `window`. Clients
 /// use read timeouts and count only completed round trips, so a starved
 /// server scores ~0 instead of hanging the benchmark.
-fn run_idle_cell(config: Config, idle: usize, active: usize, window: Duration) -> IdleCellResult {
-    let (addr, handle, join) = start(config.server(IDLE_ACTIVE));
-    // The swarm connects first, exactly the deployment order that pins a
-    // thread-per-connection pool.
+fn run_idle_cell(idle: usize, active: usize, window: Duration) -> IdleCellResult {
+    let (addr, handle, join) = start(IDLE_ACTIVE);
+    // The swarm connects first, so the active clients arrive at a server
+    // already holding every idle connection.
     let swarm: Vec<TcpStream> = (0..idle)
         .map(|_| TcpStream::connect(addr).expect("idle connect"))
         .collect();
-    // Give the server time to accept (and, threaded, dispatch) the swarm.
+    // Give the server time to accept the swarm.
     std::thread::sleep(Duration::from_millis(200));
 
     let barrier = Arc::new(Barrier::new(active));
@@ -322,9 +271,9 @@ struct BatchCellResult {
 
 /// The batch cell: per-query p50 of `BATCH` warmed queries sent as one
 /// wire batch vs the same queries as sequential round trips, on one
-/// connection each, against the event front end.
-fn run_batch_cell(config: Config, batch: usize, rounds: usize) -> BatchCellResult {
-    let (addr, handle, join) = start(config.server(4));
+/// connection each.
+fn run_batch_cell(batch: usize, rounds: usize) -> BatchCellResult {
+    let (addr, handle, join) = start(4);
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut writer = stream.try_clone().expect("clone");
@@ -384,45 +333,39 @@ fn smoke() {
     // barrier-released identical first requests reliably overlap.
     let concurrency = 4;
     let requests = 20;
-    for config in [Config::Sharded, Config::Event] {
-        let r = run_cell("inception", 8, concurrency, requests, config);
-        assert_eq!(
-            r.summary.requests,
-            (concurrency * (requests + 1)) as u64,
-            "every request (plus one warmup stats probe per client) answered \
-             before shutdown ({})",
-            config.name()
-        );
-        assert_eq!(
-            r.summary.cache_hits + r.summary.cache_misses + r.summary.coalesced,
-            (concurrency * requests) as u64,
-            "every search request accounted as exactly one of hit/miss/coalesced"
-        );
-        assert!(
-            r.summary.coalesced > 0,
-            "4 clients racing the same first key must coalesce at least once \
-             ({}): {:?}",
-            config.name(),
-            r.summary
-        );
-        println!(
-            "bench_serve smoke OK [{}]: {} requests, {} hits, {} misses, \
-             {} coalesced, p99 {:.3} ms",
-            config.name(),
-            r.summary.requests,
-            r.summary.cache_hits,
-            r.summary.cache_misses,
-            r.summary.coalesced,
-            r.p99 * 1e3
-        );
-    }
+    let r = run_cell("inception", 8, concurrency, requests);
+    assert_eq!(
+        r.summary.requests,
+        (concurrency * (requests + 1)) as u64,
+        "every request (plus one warmup stats probe per client) answered \
+         before shutdown"
+    );
+    assert_eq!(
+        r.summary.cache_hits + r.summary.cache_misses + r.summary.coalesced,
+        (concurrency * requests) as u64,
+        "every search request accounted as exactly one of hit/miss/coalesced"
+    );
+    assert!(
+        r.summary.coalesced > 0,
+        "4 clients racing the same first key must coalesce at least once: {:?}",
+        r.summary
+    );
+    println!(
+        "bench_serve smoke OK [load]: {} requests, {} hits, {} misses, \
+         {} coalesced, p99 {:.3} ms",
+        r.summary.requests,
+        r.summary.cache_hits,
+        r.summary.cache_misses,
+        r.summary.coalesced,
+        r.p99 * 1e3
+    );
 
-    // Nonzero idle-swarm cell: a small swarm must not stop the event
-    // front end from serving.
-    let idle = run_idle_cell(Config::Event, 32, 2, Duration::from_millis(500));
+    // Nonzero idle-swarm cell: a small swarm must not stop the server
+    // from serving.
+    let idle = run_idle_cell(32, 2, Duration::from_millis(500));
     assert!(
         idle.completed > 0,
-        "event front end must serve under an idle swarm: {:?}",
+        "the server must serve under an idle swarm: {:?}",
         idle.summary
     );
     println!(
@@ -432,7 +375,7 @@ fn smoke() {
 
     // Batch coalescing: N identical queries in one batch are 1 search +
     // N−1 hits.
-    let batch = run_batch_cell(Config::Event, 8, 2);
+    let batch = run_batch_cell(8, 2);
     assert_eq!(batch.summary.cache_misses, 1, "{:?}", batch.summary);
     assert_eq!(
         batch.summary.cache_hits,
@@ -457,107 +400,72 @@ fn main() {
     let mut first = true;
     for (model, devices) in MODELS {
         for concurrency in CONCURRENCY {
-            println!("== {model} p={devices} c={concurrency} ==");
-            let mut per_config = Vec::new();
-            for config in [Config::Baseline, Config::Sharded, Config::Event] {
-                let r = run_cell(model, devices, concurrency, REQUESTS, config);
-                println!(
-                    "  {:<9} {:>9.0} req/s  p50 {:>7.3} ms  p95 {:>7.3} ms  \
-                     p99 {:>7.3} ms  (hits {}, misses {}, coalesced {})",
-                    config.name(),
-                    r.req_per_s,
-                    r.p50 * 1e3,
-                    r.p95 * 1e3,
-                    r.p99 * 1e3,
-                    r.summary.cache_hits,
-                    r.summary.cache_misses,
-                    r.summary.coalesced
-                );
-                per_config.push((config, r));
+            let r = run_cell(model, devices, concurrency, REQUESTS);
+            println!(
+                "{model} p={devices} c={concurrency:<3} {:>9.0} req/s  p50 {:>7.3} ms  \
+                 p95 {:>7.3} ms  p99 {:>7.3} ms  (hits {}, misses {}, coalesced {})",
+                r.req_per_s,
+                r.p50 * 1e3,
+                r.p95 * 1e3,
+                r.p99 * 1e3,
+                r.summary.cache_hits,
+                r.summary.cache_misses,
+                r.summary.coalesced
+            );
+            if !first {
+                json.push_str(",\n");
             }
-            for (config, r) in per_config {
-                if !first {
-                    json.push_str(",\n");
-                }
-                first = false;
-                let _ = write!(
-                    json,
-                    "    {{\"model\": \"{model}\", \"devices\": {devices}, \
-                     \"concurrency\": {concurrency}, \"config\": \"{}\", \
-                     \"frontend\": \"{}\", \
-                     \"requests\": {}, \"req_per_s\": {:.1}, \
-                     \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                     \"cache_hits\": {}, \"cache_misses\": {}, \"coalesced\": {}}}",
-                    config.name(),
-                    config.frontend_name(),
-                    r.summary.requests,
-                    r.req_per_s,
-                    r.p50 * 1e3,
-                    r.p95 * 1e3,
-                    r.p99 * 1e3,
-                    r.summary.cache_hits,
-                    r.summary.cache_misses,
-                    r.summary.coalesced
-                );
-            }
+            first = false;
+            let _ = write!(
+                json,
+                "    {{\"model\": \"{model}\", \"devices\": {devices}, \
+                 \"concurrency\": {concurrency}, \
+                 \"requests\": {}, \"req_per_s\": {:.1}, \
+                 \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
+                 \"cache_hits\": {}, \"cache_misses\": {}, \"coalesced\": {}}}",
+                r.summary.requests,
+                r.req_per_s,
+                r.p50 * 1e3,
+                r.p95 * 1e3,
+                r.p99 * 1e3,
+                r.summary.cache_hits,
+                r.summary.cache_misses,
+                r.summary.coalesced
+            );
         }
     }
-    json.push_str("\n  ],\n  \"idle_cells\": [\n");
 
-    println!("== idle swarm: {IDLE_SWARM} idle + {IDLE_ACTIVE} active, {IDLE_WINDOW:?} ==");
-    let mut first = true;
-    for config in [Config::Sharded, Config::Event] {
-        let r = run_idle_cell(config, IDLE_SWARM, IDLE_ACTIVE, IDLE_WINDOW);
-        println!(
-            "  {:<9} {:>6} completed  {:>9.0} req/s",
-            config.name(),
-            r.completed,
-            r.req_per_s
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "    {{\"config\": \"{}\", \"frontend\": \"{}\", \
-             \"idle_connections\": {IDLE_SWARM}, \"active_clients\": {IDLE_ACTIVE}, \
-             \"window_s\": {}, \"completed\": {}, \"req_per_s\": {:.1}}}",
-            config.name(),
-            config.frontend_name(),
-            IDLE_WINDOW.as_secs_f64(),
-            r.completed,
-            r.req_per_s
-        );
-    }
-    json.push_str("\n  ],\n  \"batch_cells\": [\n");
+    let r = run_idle_cell(IDLE_SWARM, IDLE_ACTIVE, IDLE_WINDOW);
+    println!(
+        "idle swarm: {IDLE_SWARM} idle + {IDLE_ACTIVE} active, {IDLE_WINDOW:?}: \
+         {} completed  {:.0} req/s",
+        r.completed, r.req_per_s
+    );
+    let _ = write!(
+        json,
+        "\n  ],\n  \"idle_cells\": [\n    {{\"idle_connections\": {IDLE_SWARM}, \
+         \"active_clients\": {IDLE_ACTIVE}, \"window_s\": {}, \"completed\": {}, \
+         \"req_per_s\": {:.1}}}",
+        IDLE_WINDOW.as_secs_f64(),
+        r.completed,
+        r.req_per_s
+    );
 
-    println!("== batch: {BATCH} queries per line vs sequential ==");
-    let mut first = true;
-    for config in [Config::Sharded, Config::Event] {
-        let r = run_batch_cell(config, BATCH, BATCH_ROUNDS);
-        println!(
-            "  {:<9} batch p50/query {:>7.4} ms  sequential p50/query {:>7.4} ms  ({:.2}x)",
-            config.name(),
-            r.batch_p50_per_query * 1e3,
-            r.seq_p50_per_query * 1e3,
-            r.seq_p50_per_query / r.batch_p50_per_query.max(1e-12)
-        );
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "    {{\"config\": \"{}\", \"frontend\": \"{}\", \"batch\": {BATCH}, \
-             \"rounds\": {BATCH_ROUNDS}, \"batch_p50_per_query_ms\": {:.4}, \
-             \"sequential_p50_per_query_ms\": {:.4}}}",
-            config.name(),
-            config.frontend_name(),
-            r.batch_p50_per_query * 1e3,
-            r.seq_p50_per_query * 1e3
-        );
-    }
+    let r = run_batch_cell(BATCH, BATCH_ROUNDS);
+    println!(
+        "batch: {BATCH} queries per line: p50/query {:.4} ms, sequential {:.4} ms ({:.2}x)",
+        r.batch_p50_per_query * 1e3,
+        r.seq_p50_per_query * 1e3,
+        r.seq_p50_per_query / r.batch_p50_per_query.max(1e-12)
+    );
+    let _ = write!(
+        json,
+        "\n  ],\n  \"batch_cells\": [\n    {{\"batch\": {BATCH}, \
+         \"rounds\": {BATCH_ROUNDS}, \"batch_p50_per_query_ms\": {:.4}, \
+         \"sequential_p50_per_query_ms\": {:.4}}}",
+        r.batch_p50_per_query * 1e3,
+        r.seq_p50_per_query * 1e3
+    );
     let _ = write!(
         json,
         "\n  ],\n  \"keys_per_cell\": {KEYS},\n  \"requests_per_client\": {REQUESTS}\n}}\n"

@@ -54,18 +54,22 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// Fail on the first option or flag whose name is not in `known`, so a
-    /// misspelled or retired option is an error rather than a default.
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        match self
-            .options
-            .keys()
-            .chain(&self.flags)
-            .find(|name| !known.contains(&name.as_str()))
-        {
-            Some(name) => Err(format!("unknown option --{name}")),
-            None => Ok(()),
+    /// Check every option and flag against `known`, a list of `(name,
+    /// takes a value)` pairs. An unknown name, a valued option given
+    /// without its value, or a bare flag given a value is an error rather
+    /// than a silent default.
+    pub fn validate(&self, known: &[(&str, bool)]) -> Result<(), String> {
+        let given = (self.options.keys().map(|name| (name, true)))
+            .chain(self.flags.iter().map(|name| (name, false)));
+        for (name, has_value) in given {
+            match known.iter().find(|(k, _)| k == name) {
+                None => return Err(format!("unknown option --{name}")),
+                Some(&(_, true)) if !has_value => return Err(format!("--{name} needs a value")),
+                Some(&(_, false)) if has_value => return Err(format!("--{name} takes no value")),
+                Some(_) => {}
+            }
         }
+        Ok(())
     }
 }
 
@@ -107,18 +111,36 @@ mod tests {
 
     #[test]
     fn unknown_options_and_flags_are_rejected() {
-        let known = ["model", "json"];
+        let known = [("model", true), ("json", false)];
+        assert_eq!(parse("search --model mlp --json").validate(&known), Ok(()));
         assert_eq!(
-            parse("search --model mlp --json").reject_unknown(&known),
-            Ok(())
-        );
-        assert_eq!(
-            parse("search --model mlp --colour red").reject_unknown(&known),
+            parse("search --model mlp --colour red").validate(&known),
             Err("unknown option --colour".to_string())
         );
         assert_eq!(
-            parse("search --json --verbose").reject_unknown(&known),
+            parse("search --json --verbose").validate(&known),
             Err("unknown option --verbose".to_string())
+        );
+    }
+
+    #[test]
+    fn a_valued_option_without_its_value_is_rejected() {
+        let known = [("model", true), ("devices", true), ("json", false)];
+        // At the end of the line, and followed by another option: both
+        // parse as a bare flag.
+        for line in [
+            "search --model alexnet --devices",
+            "search --devices --model alexnet",
+        ] {
+            assert_eq!(
+                parse(line).validate(&known),
+                Err("--devices needs a value".to_string()),
+                "{line}"
+            );
+        }
+        assert_eq!(
+            parse("search --json out.json").validate(&known),
+            Err("--json takes no value".to_string())
         );
     }
 

@@ -80,17 +80,7 @@ OPTIONS:
                            (default 0 = unbounded; evicts by bytes before
                            the entry cap)
   --cache-dir <dir>        (serve) persist cache entries as JSON files
-  --cache-shards <n>       (serve) cache lock stripes, rounded up to a power of
-                           two (default 0 = min(16, workers rounded up to a
-                           power of two); 1 = single-mutex cache)
-  --no-singleflight        (serve) do not coalesce concurrent identical
-                           queries into one search
   --idle-timeout-ms <ms>   (serve) close connections idle this long (default 30000)
-  --frontend <event|threaded> (serve) connection front end: \"event\" is the
-                           epoll readiness loop (idle connections cost bytes,
-                           not threads; linux only), \"threaded\" the
-                           thread-per-connection A/B baseline (default event
-                           on linux, threaded elsewhere)
   --prewarm <spec>         (serve) fill the cache before accepting:
                            models:devices[:machines], each comma-separated,
                            e.g. \"mlp,resnet:4,8:1080ti\"
@@ -100,13 +90,18 @@ OPTIONS:
                            (one request line, one response array)
 ";
 
-/// The option names `USAGE` documents: every line that opens with two
-/// spaces and `--`. The parser accepts exactly these.
-fn documented_options() -> Vec<&'static str> {
+/// The options `USAGE` documents: every line that opens with two spaces
+/// and `--`, paired with whether the option takes a value (its name is
+/// followed by a `<…>` placeholder). The parser accepts exactly these.
+fn documented_options() -> Vec<(&'static str, bool)> {
     USAGE
         .lines()
         .filter_map(|line| line.strip_prefix("  --"))
-        .filter_map(|rest| rest.split_whitespace().next())
+        .filter_map(|rest| {
+            let mut words = rest.split_whitespace();
+            let name = words.next()?;
+            Some((name, words.next().is_some_and(|w| w.starts_with('<'))))
+        })
         .collect()
 }
 
@@ -330,7 +325,7 @@ fn run() -> Result<(), String> {
     let Some(command) = args.command.clone() else {
         return Err(USAGE.to_string());
     };
-    args.reject_unknown(&documented_options())
+    args.validate(&documented_options())
         .map_err(|e| format!("{e}\n\n{USAGE}"))?;
     let model = args.get("model").unwrap_or("mlp").to_string();
     let p: u32 = args.get_or("devices", 8)?;
@@ -647,12 +642,6 @@ fn run() -> Result<(), String> {
                 cache_max_bytes: args.get_or("cache-max-bytes", 0u64)?,
                 cache_dir: args.get("cache-dir").map(std::path::PathBuf::from),
                 idle_timeout: Duration::from_millis(args.get_or("idle-timeout-ms", 30_000u64)?),
-                cache_shards: args.get_or("cache-shards", 0usize)?,
-                singleflight: !args.has("no-singleflight"),
-                frontend: match args.get("frontend") {
-                    Some(name) => pase_serve::FrontEnd::parse(name)?,
-                    None => pase_serve::FrontEnd::default(),
-                },
                 prewarm: args.get("prewarm").map(str::to_string),
             };
             if let Some(spec) = &cfg.prewarm {
@@ -968,7 +957,7 @@ mod tests {
     fn check(line: &str) -> Result<(), String> {
         Args::parse(line.split_whitespace().map(String::from))
             .unwrap()
-            .reject_unknown(&documented_options())
+            .validate(&documented_options())
     }
 
     #[test]
@@ -977,9 +966,24 @@ mod tests {
             ("search --model alexnet --no-prune", "--no-prune"),
             ("search --prune-gate auto", "--prune-gate"),
             ("search --no-intern --search-threads 1", "--no-intern"),
+            ("serve --frontend threaded", "--frontend"),
+            ("serve --cache-shards 4", "--cache-shards"),
+            ("serve --no-singleflight", "--no-singleflight"),
         ] {
             assert_eq!(check(line), Err(format!("unknown option {name}")), "{line}");
         }
+    }
+
+    #[test]
+    fn an_option_given_without_its_value_is_an_error() {
+        assert_eq!(
+            check("search --model alexnet --devices"),
+            Err("--devices needs a value".to_string())
+        );
+        assert_eq!(
+            check("query --stats --addr"),
+            Err("--addr needs a value".to_string())
+        );
     }
 
     #[test]
@@ -988,7 +992,7 @@ mod tests {
             "search --model transformer --devices 64 --trace-out t.json --json --out s.json",
             "search --model inception --devices 8 --search-threads 1 --prune-epsilon 0.05",
             "search --model mlp --frontier --max-memory 1000 --machine 2080ti",
-            "serve --addr 127.0.0.1:0 --workers 2 --frontend event --prewarm alexnet:8:1080ti",
+            "serve --addr 127.0.0.1:0 --workers 2 --prewarm alexnet:8:1080ti",
             "query --model alexnet --devices 8 --weak-scaling --addr a:1 --out q.json",
             "query --stats --addr a:1 --batch 8 --machine-file m.json --deadline-ms 5",
         ] {

@@ -1,9 +1,9 @@
-//! The event-driven front end: a few epoll readiness loops own the
-//! connections, a bounded worker pool runs the searches.
+//! The serve front end: a few epoll readiness loops own the connections,
+//! a bounded worker pool runs the searches.
 //!
-//! The thread-per-connection front end ([`crate::server`]) pins a worker
-//! per connection for its whole lifetime, so 512 idle keep-alive clients
-//! starve a 16-worker pool outright. Here the roles are split:
+//! A connection (cheap, often idle for minutes) and a worker (expensive,
+//! needed only while a search runs) are separate resources, so idle
+//! keep-alive clients cannot starve the pool. The roles are split:
 //!
 //! - **The event loops**, one per usable CPU (at most one per worker),
 //!   each own a share of the connections and their read/write buffers.
@@ -19,8 +19,8 @@
 //!   serialize ([`answer_hit`]), with no worker hop at all. With one
 //!   loop per CPU, hits from different clients do not queue behind each
 //!   other on one core.
-//! - **The worker pool** (same size and channel discipline as the
-//!   threaded front end) gets everything else as parsed [`Job`]s —
+//! - **The worker pool** ([`crate::ServerConfig::workers`] threads sharing
+//!   one channel) gets everything else as parsed [`Job`]s —
 //!   misses, batches, disk-only entries, coalesced waits, stats probes
 //!   and parse errors — so no line is parsed twice. Finished responses
 //!   go back to the loop the job came from through its [`Mailbox`] plus
@@ -33,10 +33,9 @@
 //! response is handed back, and only then are they answered (inline or
 //! by a worker).
 //!
-//! Idle-timeout semantics are deliberately stricter than the threaded
-//! loop: only a *complete* request line (or a served response) refreshes
-//! the activity clock, so a slow-loris client dribbling bytes without a
-//! newline is closed at the same deadline as a silent one.
+//! Only a *complete* request line (or a served response) refreshes a
+//! connection's idle clock, so a slow-loris client dribbling bytes without
+//! a newline is closed at the same deadline as a silent one.
 
 #![cfg(target_os = "linux")]
 
@@ -68,8 +67,7 @@ const READ_BUDGET: usize = 16 * 4096;
 
 /// How long after a shutdown request idle connections are kept so that
 /// requests already in their socket buffers can be read and served — the
-/// drain guarantee. Matches the threaded front end, which notices
-/// shutdown on the first idle read poll (one `POLL` tick).
+/// drain guarantee.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(20);
 
 /// A parsed request line headed for the worker pool.
@@ -239,8 +237,9 @@ impl Mailbox {
     }
 }
 
-/// The event front end. Called from [`crate::Server::run`] with the bound
-/// listener; returns the same [`ServeSummary`] as the threaded front end.
+/// Serve on the bound listener until shutdown. Called from
+/// [`crate::Server::run`]; returns the totals once every worker has
+/// drained.
 ///
 /// Loop 0 runs on the calling thread and owns the listener; it deals
 /// accepted connections round-robin to every loop, itself included. Each

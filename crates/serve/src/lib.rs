@@ -1,6 +1,7 @@
 //! # pase-serve — the PaSE planner service
 //!
-//! A std-only TCP strategy server: clients send newline-delimited JSON
+//! A std-only TCP strategy server (linux only: its event loops use epoll):
+//! clients send newline-delimited JSON
 //! requests naming a model, a device count `p`, a machine profile, and an
 //! optional budget/deadline; the server answers with the optimal
 //! parallelization strategy and a full [`pase_core::SearchReport`].
@@ -50,5 +51,5 @@ pub use protocol::{
 #[cfg(unix)]
 pub use server::install_sigint;
 pub use server::limit_malloc_arenas;
-pub use server::{FrontEnd, ServeSummary, Server, ServerConfig, ShutdownHandle};
+pub use server::{ServeSummary, Server, ServerConfig, ShutdownHandle};
 pub use sharded::{CacheCounters, Lookup, MissGuard, ShardedCache};

@@ -1,12 +1,12 @@
-//! The planner service: a multi-threaded TCP server for strategy searches.
+//! The planner service: a TCP server for strategy searches (linux only).
 //!
-//! Pure std: a nonblocking [`TcpListener`] accept loop feeds connections to
-//! a bounded worker pool over an `mpsc` channel; each worker speaks the
-//! newline-delimited JSON protocol of [`crate::protocol`] and answers
-//! through the [`StrategyCache`]. Shutdown is cooperative — an
+//! Pure std: epoll readiness loops ([`crate::event`]) own the connections
+//! and hand parsed requests to a bounded worker pool; every request speaks
+//! the newline-delimited JSON protocol of [`crate::protocol`] and is
+//! answered through the [`StrategyCache`]. Shutdown is cooperative — an
 //! [`AtomicBool`] flag (typically wired to SIGINT via
-//! [`crate::install_sigint`]) stops the accept loop, after which workers
-//! drain buffered and in-flight requests before the pool joins.
+//! [`crate::install_sigint`]) stops accepting, after which buffered and
+//! in-flight requests drain before the pool joins.
 //!
 //! Observability is a fixed set of atomics: the `requests` total here and
 //! the hit / miss / coalesced counters of the [`ShardedCache`], all read
@@ -17,9 +17,8 @@
 //! [`Shared`] memoizes each zoo graph's [`graph_digest`] by the request
 //! fields [`pase_models::build_named`] reads, so a hit derives its key with
 //! [`finish_key`] and never rebuilds or re-hashes the graph. The event
-//! front end answers such hits on its event-loop threads ([`answer_hit`]);
-//! only misses, batches, disk-only entries and coalesced waits reach a
-//! worker.
+//! loops answer such hits themselves ([`answer_hit`]); only misses,
+//! batches, disk-only entries and coalesced waits reach a worker.
 //!
 //! The cache sits behind a [`ShardedCache`] — lock-striped stripes plus a
 //! singleflight layer that coalesces concurrent identical queries into one
@@ -38,70 +37,20 @@ use pase_graph::Graph;
 use pase_models::MODEL_NAMES;
 use pase_obs::Trace;
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How long the accept loop sleeps between polls, and the read timeout
-/// granularity at which idle connections notice a shutdown.
-const POLL: Duration = Duration::from_millis(20);
-
-/// Accept-loop sleep. Unlike the read timeout (which wakes as soon as
-/// bytes arrive), this sleep bounds how long a queued connection waits to
-/// be accepted, so it is kept much shorter than [`POLL`] — at 20ms it was
-/// the p99 of every benchmarked request mix.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// How often the [`install_sigint`] forwarder thread checks whether the
+/// signal arrived.
+const SIGINT_POLL: Duration = Duration::from_millis(20);
 
 /// Maximum accepted request-line length. A client streaming bytes without
 /// a newline is cut off here instead of growing the buffer unboundedly.
 pub(crate) const MAX_LINE: usize = 4 << 20;
-
-/// Which connection front end [`Server::run`] drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// Thread-per-connection loop: each accepted connection occupies a
-    /// worker thread for its whole lifetime. Kept as the A/B baseline.
-    Threaded,
-    /// Event-driven epoll readiness loops (linux only), one per usable
-    /// CPU: the loops own every connection's buffers and answer
-    /// memory-resident hits themselves, and workers only ever see parsed
-    /// requests, so idle connections cost bytes, not threads.
-    Event,
-}
-
-impl Default for FrontEnd {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            FrontEnd::Event
-        } else {
-            FrontEnd::Threaded
-        }
-    }
-}
-
-impl FrontEnd {
-    /// Parse a CLI-style name (`"event"` / `"threaded"`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "event" => Ok(FrontEnd::Event),
-            "threaded" => Ok(FrontEnd::Threaded),
-            other => Err(format!(
-                "unknown front end '{other}' (expected 'event' or 'threaded')"
-            )),
-        }
-    }
-
-    /// The CLI-style name (inverse of [`FrontEnd::parse`]).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FrontEnd::Event => "event",
-            FrontEnd::Threaded => "threaded",
-        }
-    }
-}
 
 /// Planner service configuration.
 #[derive(Clone, Debug)]
@@ -122,22 +71,10 @@ pub struct ServerConfig {
     pub cache_max_bytes: u64,
     /// Directory for persistent cache entries (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
-    /// Connections with no complete request line for this long are closed,
-    /// so idle keep-alive clients cannot pin workers (each connection
-    /// occupies a worker for its whole lifetime) and starve the accept
-    /// queue.
+    /// Connections with no complete request line (and no response being
+    /// served) for this long are closed. Partial input does not count, so
+    /// a slow-loris client is closed at the same deadline as a silent one.
     pub idle_timeout: Duration,
-    /// Cache lock stripes (rounded up to a power of two). `0` (the
-    /// default) derives the count from the worker pool:
-    /// `min(16, workers.next_power_of_two())`, so a 2-worker server does
-    /// not pay 16-stripe overhead. `1` reproduces the single-mutex PR 4
-    /// cache for A/B benchmarking.
-    pub cache_shards: usize,
-    /// Coalesce concurrent identical queries into one search (default on).
-    pub singleflight: bool,
-    /// Connection front end (see [`FrontEnd`]; default [`FrontEnd::Event`]
-    /// on linux, [`FrontEnd::Threaded`] elsewhere).
-    pub frontend: FrontEnd,
     /// Optional zoo-prewarm spec (`models:devices:machines`, each a
     /// comma-separated list — e.g. `"mlp,resnet:4,8:test"`). The
     /// cross-product is searched through the normal singleflight lookup
@@ -156,9 +93,6 @@ impl Default for ServerConfig {
             cache_max_bytes: 0,
             cache_dir: None,
             idle_timeout: Duration::from_secs(30),
-            cache_shards: 0,
-            singleflight: true,
-            frontend: FrontEnd::default(),
             prewarm: None,
         }
     }
@@ -277,22 +211,22 @@ pub struct Server {
 impl Server {
     /// Bind the listener and assemble the cache. The server does not
     /// accept connections until [`Server::run`].
+    ///
+    /// The event loops need linux epoll; elsewhere this returns
+    /// [`ErrorKind::Unsupported`] before binding anything.
     pub fn bind(cfg: ServerConfig) -> std::io::Result<Self> {
+        if !cfg!(target_os = "linux") {
+            return Err(std::io::Error::new(
+                ErrorKind::Unsupported,
+                "pase serve runs on linux only: its event loops use epoll",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
-        // Stripe count follows the worker pool unless pinned: more stripes
-        // than workers only buys lock padding nobody contends on.
-        let shards = if cfg.cache_shards == 0 {
-            cfg.workers.max(1).next_power_of_two().min(16)
-        } else {
-            cfg.cache_shards
-        };
-        let cache = ShardedCache::new(
-            shards,
-            cfg.cache_capacity,
-            cfg.cache_dir.clone(),
-            cfg.singleflight,
-        )
-        .with_max_bytes(cfg.cache_max_bytes);
+        // Stripe count follows the worker pool: more stripes than workers
+        // only buys lock padding nobody contends on.
+        let shards = cfg.workers.max(1).next_power_of_two().min(16);
+        let cache = ShardedCache::new(shards, cfg.cache_capacity, cfg.cache_dir.clone(), true)
+            .with_max_bytes(cfg.cache_max_bytes);
         Ok(Self {
             listener,
             shared: Arc::new(Shared {
@@ -330,89 +264,18 @@ impl Server {
                 .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
             self.shared.prewarmed.store(n, Ordering::SeqCst);
         }
-        match self.shared.cfg.frontend {
-            FrontEnd::Threaded => self.run_threaded(),
-            #[cfg(target_os = "linux")]
-            FrontEnd::Event => crate::event::run(self.listener, self.shared),
-            #[cfg(not(target_os = "linux"))]
-            FrontEnd::Event => Err(std::io::Error::new(
-                ErrorKind::Unsupported,
-                "the event front end needs linux epoll; use FrontEnd::Threaded",
-            )),
+        #[cfg(target_os = "linux")]
+        {
+            crate::event::run(self.listener, self.shared)
         }
-    }
-
-    /// The thread-per-connection front end ([`FrontEnd::Threaded`]).
-    fn run_threaded(self) -> std::io::Result<ServeSummary> {
-        self.listener.set_nonblocking(true)?;
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers: Vec<_> = (0..self.shared.cfg.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&self.shared);
-                std::thread::spawn(move || {
-                    // One response buffer per worker, reused across every
-                    // connection and request this worker ever serves.
-                    let mut buf = String::new();
-                    loop {
-                        // Holding the lock only for recv() keeps the pool
-                        // work-stealing: whichever worker is idle takes the
-                        // next connection.
-                        let next = rx.lock().expect("worker queue").recv();
-                        match next {
-                            Ok(stream) => handle_connection(stream, &shared, &mut buf),
-                            Err(_) => break, // accept loop closed the channel
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Request/response lines are tiny; Nagle + delayed ACK
-                    // would add tens of ms to every round trip.
-                    let _ = stream.set_nodelay(true);
-                    // A send can only fail if all workers died; surface
-                    // that as a server error rather than spinning.
-                    if tx.send(stream).is_err() {
-                        return Err(std::io::Error::other("worker pool terminated unexpectedly"));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        #[cfg(not(target_os = "linux"))]
+        {
+            unreachable!("Server::bind refuses every host but linux")
         }
-
-        // Drain the listen backlog: connections whose handshake completed
-        // before shutdown was requested still get served.
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    if tx.send(stream).is_err() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        // Closing the channel lets each worker finish its queued and
-        // in-flight connections, then exit — the graceful drain.
-        drop(tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(summarize(&self.shared))
     }
 }
 
-/// Snapshot the request/cache totals for [`ServeSummary`] — shared by
-/// both front ends at shutdown.
+/// Snapshot the request/cache totals for [`ServeSummary`] at shutdown.
 pub(crate) fn summarize(shared: &Shared) -> ServeSummary {
     let counters = shared.cache.counters();
     ServeSummary {
@@ -441,129 +304,6 @@ impl ShutdownHandle {
     pub fn is_shutdown(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
-}
-
-/// Reads newline-delimited lines from a stream with a poll-granularity
-/// read timeout, so idle connections notice shutdown without losing
-/// partially received lines (BufReader's `read_line` may drop a partial
-/// line on timeout; this accumulator never does).
-struct LineReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-enum Line {
-    /// A complete line (without the trailing newline).
-    Full(String),
-    /// No complete line yet; the read timed out.
-    Pending,
-    /// The peer closed the connection.
-    Eof,
-    /// The line exceeded [`MAX_LINE`] before a newline arrived.
-    TooLong,
-}
-
-impl LineReader {
-    fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_read_timeout(Some(POLL))?;
-        Ok(Self {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    fn next_line(&mut self) -> std::io::Result<Line> {
-        loop {
-            if let Some(nl) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(nl + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Line::Full(String::from_utf8_lossy(&line).into_owned()));
-            }
-            if self.buf.len() > MAX_LINE {
-                return Ok(Line::TooLong);
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Ok(Line::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Ok(Line::Pending)
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// Serve one connection until EOF, an I/O error, the configured idle
-/// timeout, or (once shutdown has been requested) the first idle poll. Buffered
-/// requests are always answered before the connection closes — that is
-/// the drain guarantee.
-fn handle_connection(stream: TcpStream, shared: &Shared, out: &mut String) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = match LineReader::new(stream) {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    // `out` is the worker's reusable response buffer: every response is
-    // rendered into it (after a clear) and written straight to the socket,
-    // so the steady-state serve path allocates nothing per response.
-    // One write per response: the newline is appended into the reused
-    // buffer so the whole line goes out in a single segment.
-    let mut respond = |response: &str| {
-        writer
-            .write_all(response.as_bytes())
-            .and_then(|()| writer.flush())
-            .is_ok()
-    };
-    let max_idle_polls = (shared.cfg.idle_timeout.as_millis() / POLL.as_millis()).max(1);
-    let mut idle_polls = 0u128;
-    loop {
-        match reader.next_line() {
-            Ok(Line::Full(line)) => {
-                idle_polls = 0;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                out.clear();
-                handle_line(&line, shared, out);
-                out.push('\n');
-                if !respond(out) {
-                    return;
-                }
-            }
-            Ok(Line::Pending) => {
-                idle_polls += 1;
-                if shared.shutdown.load(Ordering::SeqCst) || idle_polls >= max_idle_polls {
-                    return;
-                }
-            }
-            Ok(Line::TooLong) => {
-                out.clear();
-                write_error_json(
-                    out,
-                    &pase_core::Error::Protocol(format!("request line exceeds {MAX_LINE} bytes")),
-                );
-                out.push('\n');
-                respond(out);
-                return;
-            }
-            Ok(Line::Eof) | Err(_) => return,
-        }
-    }
-}
-
-/// Answer one request line into `out` (cleared by the caller).
-pub(crate) fn handle_line(line: &str, shared: &Shared, out: &mut String) {
-    handle_request(RequestKind::parse(line), shared, out);
 }
 
 /// Answer one parsed request line into `out` (cleared by the caller). A
@@ -827,15 +567,17 @@ pub fn install_sigint(handle: ShutdownHandle) {
             handle.shutdown();
             break;
         }
-        std::thread::sleep(POLL);
+        std::thread::sleep(SIGINT_POLL);
     });
 }
 
-#[cfg(test)]
+// Every test here binds a server, and `Server::bind` is linux-only.
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use pase_obs::json;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
 
     fn start(
         cfg: ServerConfig,
@@ -1224,25 +966,34 @@ mod tests {
     }
 
     #[test]
-    fn both_front_ends_serve_identical_answers() {
-        let mut answers = Vec::new();
-        for frontend in [FrontEnd::Threaded, FrontEnd::default()] {
-            let (addr, handle, join) = start(ServerConfig {
-                frontend,
-                ..ServerConfig::default()
-            });
-            let v = query(addr, MLP);
-            assert_eq!(
-                v.get("cached").and_then(|c| c.as_bool()),
-                Some(false),
-                "{frontend:?}"
-            );
-            answers.push((v.get("cost").cloned(), v.get("strategy").cloned()));
-            handle.shutdown();
-            let summary = join.join().unwrap();
-            assert_eq!(summary.requests, 1, "{frontend:?}");
-        }
-        assert_eq!(answers[0], answers[1]);
+    fn a_served_miss_equals_the_library_search() {
+        let (addr, handle, join) = start(ServerConfig::default());
+        let v = query(addr, MLP);
+        assert_eq!(v.get("cached").and_then(|c| c.as_bool()), Some(false));
+        handle.shutdown();
+        assert_eq!(join.join().unwrap().requests, 1);
+
+        // The same search through the library, with what the wire request
+        // names: bit-identical cost, identical strategy.
+        let graph = pase_models::build_named("mlp", 4, false).unwrap();
+        let mesh = pase_cost::DeviceMesh::flat(&pase_cost::MachineSpec::test_machine());
+        let run = Search::new(&graph)
+            .rule(ConfigRule::new(4))
+            .mesh(mesh)
+            .run();
+        let SearchOutcome::Found(r) = run.outcome() else {
+            panic!("the library search found no strategy");
+        };
+        assert_eq!(v.get("cost").and_then(|c| c.as_f64()), Some(r.cost));
+        let served: Vec<u64> = v
+            .get("strategy")
+            .and_then(|s| s.as_array())
+            .expect("a strategy")
+            .iter()
+            .map(|id| id.as_u64().expect("an id"))
+            .collect();
+        let expect: Vec<u64> = r.config_ids.iter().map(|&id| u64::from(id)).collect();
+        assert_eq!(served, expect);
     }
 
     #[test]
@@ -1380,18 +1131,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_follows_the_worker_pool_unless_pinned() {
-        for (workers, shards, expect) in [(2, 0, 2), (5, 0, 8), (64, 0, 16), (2, 4, 4)] {
+    fn shard_count_follows_the_worker_pool() {
+        for (workers, expect) in [(1, 1), (2, 2), (5, 8), (64, 16)] {
             let server = Server::bind(ServerConfig {
                 workers,
-                cache_shards: shards,
                 ..ServerConfig::default()
             })
             .expect("bind");
             assert_eq!(
                 server.shared.cache.shard_count(),
                 expect,
-                "workers={workers} cache_shards={shards}"
+                "workers={workers}"
             );
         }
     }
@@ -1587,7 +1337,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_hit_is_answered_while_the_only_worker_is_busy() {
         let (addr, handle, join, shared, dir) = start_persisting("busy", 1);

@@ -113,7 +113,9 @@ impl ShardedCache {
     /// Build a cache of `shards` stripes (rounded up to a power of two,
     /// minimum 1) holding `capacity` entries in total, optionally persisted
     /// under `disk_dir` (shared by all stripes — entry filenames embed the
-    /// full key, so stripes never collide on disk).
+    /// full key, so stripes never collide on disk). With `singleflight`
+    /// off, concurrent misses on one key each run their own search; the
+    /// server always turns it on.
     pub fn new(
         shards: usize,
         capacity: usize,

@@ -1,15 +1,12 @@
-//! Hostile-client coverage for the event-driven front end: slow-loris
-//! writers, idle keep-alive swarms, oversized lines, and deeply nested
-//! JSON must not occupy a search worker, must still be bounded by
-//! `idle_timeout`, and must never take down the server.
-//!
-//! Everything here runs against [`FrontEnd::Event`], so the file is
-//! linux-only — the threaded front end keeps its own coverage in
-//! `crates/serve/src/server.rs`.
+//! Hostile-client coverage for the serve front end: slow-loris writers,
+//! idle keep-alive swarms, oversized lines, and deeply nested JSON must
+//! not occupy a search worker, must still be bounded by `idle_timeout`,
+//! and must never take down the server. `pase serve` is linux-only, so
+//! this file is too.
 #![cfg(target_os = "linux")]
 
 use pase_obs::json;
-use pase_serve::{FrontEnd, ServeSummary, Server, ServerConfig, ShutdownHandle};
+use pase_serve::{ServeSummary, Server, ServerConfig, ShutdownHandle};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -41,22 +38,14 @@ fn query(addr: SocketAddr, line: &str) -> json::Value {
 const MLP: &str =
     "{\"model\": \"mlp\", \"devices\": 4, \"machine\": \"test\", \"weak_scaling\": false}";
 
-fn event_config() -> ServerConfig {
-    ServerConfig {
-        frontend: FrontEnd::Event,
-        ..ServerConfig::default()
-    }
-}
-
 /// An idle keep-alive connection must not occupy a worker: with a
 /// single-worker pool and an idle client still connected, queries are
-/// answered. (The threaded front end cannot do this — its one worker is
-/// pinned by the idle connection until the idle timeout.)
+/// answered: connections live on the event loops, not on workers.
 #[test]
 fn idle_connection_does_not_occupy_the_only_worker() {
     let (addr, handle, join) = start(ServerConfig {
         workers: 1,
-        ..event_config()
+        ..ServerConfig::default()
     });
     let idle = TcpStream::connect(addr).expect("idle connect");
     idle.set_read_timeout(Some(Duration::from_millis(10)))
@@ -85,7 +74,7 @@ fn idle_swarm_neither_starves_workers_nor_escapes_the_idle_timeout() {
     let (addr, handle, join) = start(ServerConfig {
         workers: 2,
         idle_timeout: Duration::from_millis(400),
-        ..event_config()
+        ..ServerConfig::default()
     });
     let swarm: Vec<TcpStream> = (0..64)
         .map(|_| TcpStream::connect(addr).expect("swarm connect"))
@@ -116,7 +105,7 @@ fn slow_loris_is_closed_at_the_idle_deadline_without_pinning_a_worker() {
     let (addr, handle, join) = start(ServerConfig {
         workers: 1,
         idle_timeout: Duration::from_millis(300),
-        ..event_config()
+        ..ServerConfig::default()
     });
     let mut loris = TcpStream::connect(addr).expect("loris connect");
     loris
@@ -157,7 +146,7 @@ fn slow_loris_is_closed_at_the_idle_deadline_without_pinning_a_worker() {
 #[test]
 fn oversized_line_gets_an_error_and_the_connection_closes() {
     const MAX_LINE: usize = 4 << 20;
-    let (addr, handle, join) = start(event_config());
+    let (addr, handle, join) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
     let big = vec![b'x'; MAX_LINE + 1];
     stream.write_all(&big).unwrap();
@@ -185,7 +174,7 @@ fn oversized_line_gets_an_error_and_the_connection_closes() {
 /// well-formed request.
 #[test]
 fn deeply_nested_json_is_rejected_and_the_connection_survives() {
-    let (addr, handle, join) = start(event_config());
+    let (addr, handle, join) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
     let deep = format!("{}1{}", "[".repeat(200), "]".repeat(200));
     stream.write_all(deep.as_bytes()).unwrap();
@@ -214,7 +203,7 @@ fn deeply_nested_json_is_rejected_and_the_connection_survives() {
 /// response line each.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let (addr, handle, join) = start(event_config());
+    let (addr, handle, join) = start(ServerConfig::default());
     let mut stream = TcpStream::connect(addr).expect("connect");
     let mut burst = String::new();
     for devices in [2, 3, 4] {

@@ -1,7 +1,9 @@
 //! Stress coverage for the sharded cache + singleflight serve path:
 //! many concurrent identical and distinct queries against a live server
 //! with cache-dir persistence, asserting result parity, coalescing, and
-//! the absence of deadlocks under contention.
+//! the absence of deadlocks under contention. `pase serve` is
+//! linux-only, so this file is too.
+#![cfg(target_os = "linux")]
 
 use pase_obs::json;
 use pase_serve::{ServeSummary, Server, ServerConfig, ShutdownHandle};
