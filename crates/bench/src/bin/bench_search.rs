@@ -38,7 +38,7 @@
 //! Medians are written to `BENCH_search.json`. Mirrors the criterion
 //! benches but runs in seconds, so it can gate a PR.
 
-use pase_core::{reference, Search, SearchReport};
+use pase_core::{reference, Search, SearchReport, DP_ENTRY_BYTES};
 use pase_cost::{
     ConfigRule, CostTables, DeviceMesh, MachineSpec, PruneOptions, PrunedTables, TableOptions,
 };
@@ -79,7 +79,10 @@ fn median_secs<T>(samples: usize, mut f: impl FnMut() -> T) -> f64 {
 /// Median of `samples` values of `f` (for measurements that are not plain
 /// wall-clock, e.g. a traced span's duration).
 fn median_of(samples: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut vals: Vec<f64> = (0..samples).map(|_| f()).collect();
+    median((0..samples).map(|_| f()).collect())
+}
+
+fn median(mut vals: Vec<f64>) -> f64 {
     vals.sort_by(f64::total_cmp);
     vals[vals.len() / 2]
 }
@@ -195,7 +198,9 @@ fn main() {
             // the microkernel carries a >=5x acceptance floor over the
             // incremental fill on the two biggest cells. Transformer p=64
             // sits closest to that floor, so it takes the median of three
-            // fills of each; every other cell takes one sample, as the big
+            // fills of each, interleaved (incremental, tiled, incremental,
+            // …) so that a burst of host load slows both engines rather
+            // than one batch; every other cell takes one sample, as the big
             // cells are slow single-threaded under the incremental loop
             // (over a minute per fill on InceptionV3 p=64, which clears the
             // floor by a wide margin).
@@ -204,20 +209,12 @@ fn main() {
             } else {
                 1
             };
-            let mut incremental = None;
-            let dp_fill_frontier_s = median_of(frontier_samples, || {
-                let trace = Trace::new();
-                incremental = Some(reference::frontier(
-                    &g,
-                    &tables,
-                    FRONTIER_WIDTH,
-                    Some(&trace),
-                ));
-                fill_span(&trace)
-            });
-            let incremental = incremental.expect("at least one frontier sample");
-            let (mut outcome, mut trace) = (None, Trace::new());
-            let dp_fill_frontier_tiled_s = median_of(frontier_samples, || {
+            let (mut incremental, mut outcome, mut trace) = (None, None, Trace::new());
+            let (mut incremental_s, mut tiled_s) = (Vec::new(), Vec::new());
+            for _ in 0..frontier_samples {
+                let t = Trace::new();
+                incremental = Some(reference::frontier(&g, &tables, FRONTIER_WIDTH, Some(&t)));
+                incremental_s.push(fill_span(&t));
                 trace = Trace::new();
                 outcome = Some(single_thread.install(|| {
                     Search::new(&g)
@@ -228,8 +225,11 @@ fn main() {
                         .run()
                         .into_outcome()
                 }));
-                fill_span(&trace)
-            });
+                tiled_s.push(fill_span(&trace));
+            }
+            let (dp_fill_frontier_s, dp_fill_frontier_tiled_s) =
+                (median(incremental_s), median(tiled_s));
+            let incremental = incremental.expect("at least one frontier sample");
             let outcome = outcome.expect("at least one frontier sample");
             let frontier_report = SearchReport::new(bench.name(), p, &outcome, Some(&trace));
             assert_eq!(frontier_report.stats.dp_kernel, "frontier-tiled");
@@ -288,6 +288,16 @@ fn main() {
                 bench.name()
             );
             let report = SearchReport::new(bench.name(), p, &pruned_outcome, Some(&trace));
+            // Children's costs are freed once their parent is filled, so
+            // the live peak stays below every allocated entry's bytes.
+            assert!(
+                report.stats.peak_table_bytes < report.stats.table_entries * DP_ENTRY_BYTES,
+                "{} p={p}: peak table bytes {} not below the {} entries' {} B",
+                bench.name(),
+                report.stats.peak_table_bytes,
+                report.stats.table_entries,
+                report.stats.table_entries * DP_ENTRY_BYTES
+            );
 
             // Mesh sweep: the same cell planned on its explicit flat mesh
             // (must stay bit-identical to the scalar tables — the

@@ -10,19 +10,23 @@
 
 use std::time::Duration;
 
-/// Bytes one DP table entry actually occupies: an `f64` cost plus a `u16`
-/// chosen-configuration id, as allocated by the DP fill
-/// (`Vec<f64>` + `Vec<u16>` of equal length per table). Derived from
-/// `size_of` so the budget arithmetic cannot drift from the entry types.
+/// Bytes one DP table entry occupies when allocated: an `f64` cost plus a
+/// `u16` chosen-configuration id (`Vec<f64>` + `Vec<u16>` of equal length
+/// per table). Derived from `size_of` so the budget arithmetic cannot
+/// drift from the entry types. The fill frees a child table's costs once
+/// its parent is filled, so the bytes live at once are fewer: a budget in
+/// these units bounds *allocated* bytes and is conservative.
 pub const DP_ENTRY_BYTES: u64 = (std::mem::size_of::<f64>() + std::mem::size_of::<u16>()) as u64;
 
 /// Resource limits for one search invocation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SearchBudget {
     /// Cap on the total number of DP table entries allocated across the
-    /// whole search. Each entry costs [`DP_ENTRY_BYTES`] (10) bytes, so
-    /// the default of 2^28 entries caps table memory at 2.5 GiB —
-    /// a memory-constrained workstation.
+    /// whole search. Each entry costs [`DP_ENTRY_BYTES`] (10) bytes when
+    /// allocated, so the default of 2^28 entries caps table memory at
+    /// 2.5 GiB — a memory-constrained workstation. The cap counts every
+    /// allocation, including costs freed before the search ends, so it is
+    /// a conservative bound on the bytes live at once.
     pub max_table_entries: u64,
     /// Wall-clock cap.
     pub max_time: Duration,
@@ -87,11 +91,15 @@ pub struct SearchStats {
     pub prune_time: Duration,
     /// Total DP table entries allocated.
     pub table_entries: u64,
-    /// High-water mark of DP table memory in bytes:
-    /// `table_entries × DP_ENTRY_BYTES` at the point of greatest
-    /// allocation. Tables stay live through back-substitution, so on a
-    /// completed search this equals the final total; on an aborted one it
-    /// is what had been accounted when the budget tripped.
+    /// High-water mark of live DP table memory in bytes. A scalar table
+    /// holds `choice` (2 B/entry) until back-substitution ends, and its
+    /// `costs` (8 B/entry) until its parent table is filled (a root's
+    /// until the end); a frontier table holds its points to the end. The
+    /// mark is taken after each batch of tables is filled, before their
+    /// children are freed, so it is at most
+    /// `table_entries × DP_ENTRY_BYTES` for a scalar search. On a search
+    /// the plan pass aborted (nothing allocated yet) it is the bytes the
+    /// plan pass had accounted when the budget tripped.
     pub peak_table_bytes: u64,
     /// Total `(substrategy, configuration)` pairs evaluated.
     pub states_evaluated: u64,

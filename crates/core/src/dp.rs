@@ -44,6 +44,12 @@
 //!   straight into the table's final arrays. The per-entry scalar loop it
 //!   replaced survives only as the test oracle
 //!   [`crate::reference::scalar_search`].
+//! * A scalar table's `costs` are freed once its parent is filled
+//!   ([`DpValue::release`]). Subset anchors form a forest — every
+//!   non-root position is the anchor of exactly one later position, a root
+//!   of none — so a child's costs are dead once its one parent is filled,
+//!   with no reference counting; back-substitution reads only `choice` and
+//!   the roots' `costs[0]`.
 //! * Budgets are enforced *before* each allocation (`Oom`) and per chunk of
 //!   work (`Timeout`), reproducing Table I's failure modes without actually
 //!   exhausting the machine. Values whose size depends on table contents
@@ -143,7 +149,8 @@ impl Poolable for Table {
         self.choice.clear();
     }
     fn shed(&mut self) -> bool {
-        self.costs.capacity() <= MAX_POOLED_ENTRIES
+        // A released table's `costs` is empty, so check `choice` too.
+        self.costs.capacity().max(self.choice.capacity()) <= MAX_POOLED_ENTRIES
     }
 }
 
@@ -496,6 +503,9 @@ pub(crate) trait DpValue: Sync {
     ) -> Result<(), GraphError>;
     /// The table a filled `out` holds.
     fn finish(out: Self::Out) -> Pooled<Self::Table>;
+    /// Free what only the parent's fill reads of a child `table`, once its
+    /// one parent is filled; keep what [`DpValue::backtrack`] reads.
+    fn release(table: &mut Self::Table);
     /// Bytes `table` holds, checked against the budget's byte cap after
     /// each wave; `n_children` is its position's child-table count.
     fn table_bytes(table: &Self::Table, n_children: usize) -> u64;
@@ -586,8 +596,15 @@ impl DpValue for MinTime {
         out
     }
 
+    /// Backtrack reads a child's `choice` only; its `costs` were read by
+    /// the parent's fill and are dead.
+    fn release(table: &mut Table) {
+        table.costs = Vec::new();
+    }
+
     fn table_bytes(table: &Table, _n_children: usize) -> u64 {
-        table.costs.len() as u64 * DP_ENTRY_BYTES
+        (table.costs.len() * std::mem::size_of::<f64>()
+            + table.choice.len() * std::mem::size_of::<u16>()) as u64
     }
 
     fn backtrack(
@@ -616,8 +633,9 @@ impl DpValue for MinTime {
 /// [`pase_obs::phase::STRUCTURE`] span for ordering + structure
 /// construction, [`pase_obs::phase::PLAN`] for the budget-accounting pass,
 /// one `"wavefront <w>"` span per DP wavefront, each with a nested
-/// [`pase_obs::phase::KERNEL`] span, the `table_bytes` and `packed_bytes`
-/// counters after each wave, and [`pase_obs::phase::BACKTRACK`] for
+/// [`pase_obs::phase::KERNEL`] span, the `table_bytes` (live bytes, once
+/// the wave's children are released) and `packed_bytes` counters after
+/// each wave, and [`pase_obs::phase::BACKTRACK`] for
 /// strategy extraction. Results are identical with and without a trace,
 /// and at any rayon thread count.
 pub(crate) fn drive<V: DpValue>(
@@ -644,10 +662,11 @@ pub(crate) fn drive<V: DpValue>(
     };
     let mut dp: Vec<Option<Pooled<V::Table>>> = (0..plans.len()).map(|_| None).collect();
     let byte_cap = opts.budget.max_table_bytes();
-    // Bytes held by finished tables, and bytes transposed into panel
-    // scratch so far (the pase-obs `table_bytes` / `packed_bytes`
-    // counters).
+    // Bytes live in filled tables, and bytes transposed into panel scratch
+    // so far (the pase-obs `table_bytes` / `packed_bytes` counters).
     let (mut table_bytes, mut packed_bytes) = (0u64, 0u64);
+    // The plan pass accounted every entry; the fill reports live bytes.
+    stats.peak_table_bytes = 0;
 
     for (wi, wave) in structure.wavefronts().iter().enumerate() {
         let mut wave_span = trace.map(|t| t.span(phase::wavefront_name(wi)));
@@ -747,6 +766,18 @@ pub(crate) fn drive<V: DpValue>(
                 table_bytes += V::table_bytes(&table, structure.subset_anchors(i).len());
                 dp[i] = Some(table);
             }
+            stats.peak_table_bytes = stats.peak_table_bytes.max(table_bytes);
+            // Subset anchors form a forest: a child has exactly one parent,
+            // which this batch just filled, so its fill operands are dead.
+            for &i in batch {
+                for &j in structure.subset_anchors(i) {
+                    let n = structure.subset_anchors(j).len();
+                    let child = dp[j].as_mut().expect("child table");
+                    table_bytes -= V::table_bytes(child, n);
+                    V::release(child);
+                    table_bytes += V::table_bytes(child, n);
+                }
+            }
         }
         drop(kernel_span);
         wave_span.arg("tables", wave.len());
@@ -759,7 +790,6 @@ pub(crate) fn drive<V: DpValue>(
         // Scalar tables were accounted exactly by the plan pass; this only
         // trips for values whose size depends on table contents.
         if table_bytes > byte_cap {
-            stats.peak_table_bytes = stats.peak_table_bytes.max(table_bytes);
             stats.elapsed = start.elapsed();
             return Ok(Filled {
                 outcome: SearchOutcome::Oom {
@@ -770,7 +800,6 @@ pub(crate) fn drive<V: DpValue>(
             });
         }
     }
-    stats.peak_table_bytes = stats.peak_table_bytes.max(table_bytes);
 
     let mut backtrack_span = span_in(trace, phase::BACKTRACK);
     backtrack_span.arg("roots", structure.roots().len());
@@ -1118,19 +1147,51 @@ pub(crate) mod tests {
         );
     }
 
+    /// Replay [`drive`]'s table lifetimes for a scalar search from table
+    /// sizes alone: each batch adds its tables' `costs` + `choice`, the
+    /// peak is taken, then the batch's children drop their `costs`.
+    /// Returns the live bytes after each wave and the peak.
+    fn replay_live_bytes(g: &Graph, tables: &CostTables, threads: usize) -> (Vec<u64>, u64) {
+        let p = prepare(g, tables, &DpOptions::default(), None, MinTime::ENGINE)
+            .unwrap_or_else(|_| panic!("plan pass fits the default budget"));
+        let (s, plans) = (&p.structure, &p.plans);
+        let (mut live, mut peak, mut samples) = (0u64, 0u64, Vec::new());
+        for wave in s.wavefronts() {
+            let entries: u64 = wave.iter().map(|&i| plans[i].size).sum();
+            let shared = entries >= MinTime::CHUNK as u64 && threads > 1;
+            for batch in wave.chunks(if shared { wave.len() } else { 1 }) {
+                live += batch.iter().map(|&i| plans[i].size).sum::<u64>() * DP_ENTRY_BYTES;
+                peak = peak.max(live);
+                for &j in batch.iter().flat_map(|&i| s.subset_anchors(i)) {
+                    live -= plans[j].size * std::mem::size_of::<f64>() as u64;
+                }
+            }
+            samples.push(live);
+        }
+        (samples, peak)
+    }
+
     #[test]
-    fn peak_table_bytes_tracks_real_entry_size() {
-        use crate::budget::DP_ENTRY_BYTES;
-        let g = diamond();
-        let tables = CostTables::build(&g, ConfigRule::new(4), &MachineSpec::test_machine());
-        let r = Search::new(&g).tables(&tables).run().expect_found("peak");
-        // Tables are never freed before back-substitution, so the peak is
-        // exactly the total accounted entries times the real entry size.
-        assert!(r.stats.table_entries > 0);
-        assert_eq!(
-            r.stats.peak_table_bytes,
-            r.stats.table_entries * DP_ENTRY_BYTES
-        );
+    fn peak_table_bytes_tracks_live_tables() {
+        // Diamond's small waves fill inline at any thread count, one table
+        // per batch; InceptionV3's wide p = 8 waves go through the shared
+        // queue on 4 threads, whose one batch per wave frees its children a
+        // whole wave at a time (a higher peak than the 1-thread fill's).
+        let inception = pase_models::Benchmark::InceptionV3.build();
+        for (g, p) in [(diamond(), 4), (inception, 8)] {
+            let tables = CostTables::build(&g, ConfigRule::new(p), &MachineSpec::test_machine());
+            for threads in [1, 4] {
+                let r = with_threads(threads, || {
+                    Search::new(&g).tables(&tables).run().expect_found("peak")
+                });
+                let (_, peak) = replay_live_bytes(&g, &tables, threads);
+                assert_eq!(r.stats.peak_table_bytes, peak, "p = {p}, {threads} threads");
+                assert!(
+                    peak < r.stats.table_entries * DP_ENTRY_BYTES,
+                    "children were freed"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1151,17 +1212,17 @@ pub(crate) mod tests {
         assert!(names.contains(&phase::BACKTRACK), "spans: {names:?}");
         let waves = names.iter().filter(|n| phase::is_wavefront(n)).count();
         assert_eq!(waves, r.stats.wavefronts, "one span per DP wavefront");
-        // The table-memory counter was sampled after each wave and ends at
-        // the accounted total.
+        // The table-memory counter was sampled after each wave: the live
+        // bytes once that wave's children were freed.
         let samples: Vec<u64> = trace
             .counters()
             .iter()
             .filter(|c| c.name == "table_bytes")
             .map(|c| c.value)
             .collect();
-        assert_eq!(samples.len(), r.stats.wavefronts);
-        assert_eq!(samples.last().copied(), Some(r.stats.peak_table_bytes));
-        assert!(samples.windows(2).all(|w| w[0] <= w[1]));
+        let (live, peak) = replay_live_bytes(&g, &tables, rayon::current_num_threads());
+        assert_eq!(samples, live);
+        assert_eq!(r.stats.peak_table_bytes, peak);
     }
 
     #[test]

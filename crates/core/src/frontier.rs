@@ -1344,6 +1344,10 @@ impl DpValue for Pareto {
         table
     }
 
+    /// Backtrack follows kid indices through every table, so nothing is
+    /// dead before it ends.
+    fn release(_table: &mut FTable) {}
+
     fn table_bytes(table: &FTable, n_children: usize) -> u64 {
         table.pts.len() as u64 * (POINT_BYTES + 4 * n_children as u64)
     }

@@ -252,8 +252,9 @@ impl VertexStructure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::generate_seq;
+    use crate::ordering::{generate_seq, make_ordering, OrderingKind};
     use pase_graph::{DimRole, GraphBuilder, IterDim, Node, OpKind, TensorRef};
+    use proptest::prelude::*;
 
     fn ew(name: &str, ins: usize) -> Node {
         Node {
@@ -430,6 +431,78 @@ mod tests {
         assert_eq!(s.wavefronts()[0], vec![0, 2]);
         assert_eq!(s.wavefronts()[1], vec![1, 3]);
         assert_eq!(s.max_wavefront_width(), 2);
+    }
+
+    /// Every position but a root is the anchor of exactly one later
+    /// position's connected subsets, and a root of none: the anchors form
+    /// a forest. The DP relies on it to free a child table's costs as soon
+    /// as its one parent is filled.
+    fn assert_anchor_forest(label: &str, g: &Graph) {
+        for ordering in [
+            OrderingKind::GenerateSeq,
+            OrderingKind::BreadthFirst,
+            OrderingKind::Random { seed: 11 },
+        ] {
+            let order = make_ordering(g, ordering);
+            for mode in [ConnectedSetMode::Exact, ConnectedSetMode::Prefix] {
+                let s = VertexStructure::build(g, &order, mode);
+                let mut parents = vec![0usize; g.len()];
+                for i in 0..g.len() {
+                    for &j in s.subset_anchors(i) {
+                        parents[j] += 1;
+                    }
+                }
+                for (j, &n) in parents.iter().enumerate() {
+                    let want = usize::from(!s.roots().contains(&j));
+                    assert_eq!(
+                        n, want,
+                        "{label} {ordering:?}/{mode:?}: position {j} is a child of {n} tables"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A random DAG, not always connected: node `i` is fed by up to three
+    /// earlier nodes, picked from `seeds[i]`.
+    fn random_dag(seeds: &[usize]) -> Graph {
+        let mut b = GraphBuilder::new();
+        let mut ids: Vec<NodeId> = Vec::new();
+        for (i, &seed) in seeds.iter().enumerate() {
+            let mut feeds: Vec<usize> = if i == 0 {
+                Vec::new()
+            } else {
+                (0..seed % 4).map(|k| (seed / 4 + 7 * k) % i).collect()
+            };
+            feeds.sort_unstable();
+            feeds.dedup();
+            let v = b.add_node(ew(&format!("n{i}"), feeds.len()));
+            for &f in &feeds {
+                b.connect(ids[f], v);
+            }
+            ids.push(v);
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn subset_anchors_form_a_forest_on_random_dags(
+            seeds in prop::collection::vec(0usize..1000, 1..14),
+        ) {
+            assert_anchor_forest("random dag", &random_dag(&seeds));
+        }
+    }
+
+    #[test]
+    fn subset_anchors_form_a_forest_on_the_zoo() {
+        assert_anchor_forest("two chains", &two_chains_join());
+        for name in pase_models::MODEL_NAMES {
+            let g = pase_models::build_named(name, 8, false).expect("zoo model builds");
+            assert_anchor_forest(name, &g);
+        }
     }
 
     #[test]

@@ -15,7 +15,12 @@ Checks:
     by the embedded search report (the spans partition the pipeline, so
     their sum must also not exceed elapsed by more than rounding). The
     "kernel" span is nested inside its fill span, so it is excluded from
-    the disjoint sum.
+    the disjoint sum;
+  * for a scalar ("tiled") search, every table_bytes sample (the live
+    table bytes after a wave) is at most stats.peak_table_bytes, which is
+    at most stats.table_entries x 10 bytes (an f64 cost plus a u16 choice
+    per allocated entry; the fill frees a child's costs once its parent
+    is filled).
 """
 
 import json
@@ -86,8 +91,16 @@ def main() -> None:
         )
 
     counters = [e for e in events if e.get("ph") == "C"]
-    if not counters:
-        fail("no counter events (expected table_bytes samples)")
+    table_bytes = [e["args"]["value"] for e in counters if e["name"] == "table_bytes"]
+    if not table_bytes:
+        fail("no table_bytes counter samples")
+    if dp_kernel == "tiled":
+        peak = report["stats"]["peak_table_bytes"]
+        allocated = report["stats"]["table_entries"] * 10
+        if max(table_bytes) > peak:
+            fail(f"a table_bytes sample {max(table_bytes)} exceeds peak_table_bytes {peak}")
+        if peak > allocated:
+            fail(f"peak_table_bytes {peak} exceeds table_entries x 10 = {allocated}")
 
     print(
         f"check_trace: OK — {len(spans)} spans ({len(wavefronts)} wavefronts), "

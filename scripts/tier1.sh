@@ -22,6 +22,9 @@ cargo test -q --release --test table_parity -- --include-ignored
 # Every keep set equal to the plain pairwise dominance scan, including the
 # p = 64 sweep (and InceptionV3 p = 32 and 64).
 cargo test -q --release --test prune_parity -- --include-ignored
+# Every zoo cell's production search, pruned and unpruned, bit-identical
+# to the scalar reference fill, which never frees a table.
+cargo test -q --release --test zoo_oracle -- --include-ignored
 # The benchmark harness under perfbench/ builds against the library's
 # public API: build it and run its determinism and oracle tests, so an API
 # change that breaks it fails here rather than at benchmark time.
