@@ -17,7 +17,7 @@ use args::Args;
 use pase_baselines::{data_parallel, gnmt_expert, mesh_tf_expert, owt};
 use pase_core::{
     dependent_set_sizes, generate_seq, optcnn_search, FrontierPoint, ReductionOutcome, Search,
-    SearchOutcome, SearchReport, SearchResult, SearchStats,
+    SearchOutcome, SearchReport, SearchResult, SearchRun, SearchStats,
 };
 use pase_cost::{
     from_sharding_json, to_sharding_json, to_sharding_json_with, validate_strategy, ConfigRule,
@@ -182,6 +182,59 @@ struct Searched {
     intern_hit_rate: Option<f64>,
 }
 
+/// The search every searching subcommand runs: `rule` (with the per-device
+/// memory cap) on `mesh`, with the knobs' prune, recording into `trace`.
+fn base_search<'a>(
+    graph: &'a Graph,
+    p: u32,
+    mesh: &DeviceMesh,
+    memory_limit_gb: Option<f64>,
+    knobs: SearchKnobs,
+    trace: Option<&'a Trace>,
+) -> Search<'a> {
+    let mut rule = ConfigRule::new(p);
+    if let Some(gb) = memory_limit_gb {
+        rule = rule.with_memory_limit(gb * (1u64 << 30) as f64);
+    }
+    let search = Search::new(graph)
+        .rule(rule)
+        .mesh(mesh.clone())
+        .pruning(knobs.prune_options());
+    match trace {
+        Some(t) => search.trace(t),
+        None => search,
+    }
+}
+
+/// Run `search` on `threads` workers (0 = all cores). Returns the run and
+/// the elapsed time of the whole pipeline (table build + prune + DP), which
+/// is what the recorded phase spans cover.
+fn run_on_threads(search: Search<'_>, threads: usize) -> Result<(SearchRun<'_>, Duration), String> {
+    let start = Instant::now();
+    let run = if threads > 0 {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .map_err(|e| format!("cannot build thread pool: {e}"))?
+            .install(|| search.run())
+    } else {
+        search.run()
+    };
+    Ok((run, start.elapsed()))
+}
+
+/// The CLI's view of a found result, with the pipeline's `elapsed`.
+fn searched(run: &SearchRun<'_>, r: &SearchResult, elapsed: Duration) -> Searched {
+    let mut stats = r.stats.clone();
+    stats.elapsed = elapsed;
+    Searched {
+        strategy: run.tables().ids_to_strategy(&r.config_ids),
+        cost: r.cost,
+        stats,
+        intern_hit_rate: run.tables().intern_stats().hit_rate_opt(),
+    }
+}
+
 fn search_strategy(
     graph: &Graph,
     p: u32,
@@ -190,54 +243,51 @@ fn search_strategy(
     knobs: SearchKnobs,
     trace: Option<&Trace>,
 ) -> Result<Searched, String> {
-    let mut rule = ConfigRule::new(p);
-    if let Some(gb) = memory_limit_gb {
-        rule = rule.with_memory_limit(gb * (1u64 << 30) as f64);
-    }
-    let pipeline_start = Instant::now();
-    let run_search = || {
-        let mut search = Search::new(graph)
-            .rule(rule)
-            .mesh(mesh.clone())
-            .pruning(knobs.prune_options());
-        if let Some(t) = trace {
-            search = search.trace(t);
-        }
-        search.run()
-    };
-    let run = if knobs.threads > 0 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(knobs.threads)
-            .build()
-            .map_err(|e| format!("cannot build thread pool: {e}"))?
-            .install(run_search)
-    } else {
-        run_search()
-    };
-    // Report elapsed over the whole pipeline (table build + prune + DP),
-    // matching what the recorded phase spans cover.
-    let elapsed = pipeline_start.elapsed();
-    let intern_hit_rate = run.tables().intern_stats().hit_rate_opt();
+    let search = base_search(graph, p, mesh, memory_limit_gb, knobs, trace);
+    let (run, elapsed) = run_on_threads(search, knobs.threads)?;
     match run.outcome() {
-        SearchOutcome::Found(r) => Ok(Searched {
-            strategy: run.tables().ids_to_strategy(&r.config_ids),
-            cost: r.cost,
-            stats: {
-                let mut stats = r.stats.clone();
-                stats.elapsed = elapsed;
-                stats
-            },
-            intern_hit_rate,
-        }),
+        SearchOutcome::Found(r) => Ok(searched(&run, r, elapsed)),
         other => Err(format!("search failed: {}", other.tag())),
     }
 }
 
-/// Run a frontier-mode search: render the (step-time × peak-memory)
-/// Pareto frontier plus the selected point's layer report. With
-/// `max_memory`, selection is the fastest point whose peak per-device
-/// strategy memory fits the cap; an impossible cap is a clean error
-/// naming the frontier's memory floor.
+/// The text report of a scalar search: the header, then the layer report.
+fn search_text(graph: &Graph, model: &str, p: u32, machine: &str, s: &Searched) -> String {
+    let stats = &s.stats;
+    let prune_line = if stats.k_before > stats.max_configs {
+        format!(
+            "dominance pruning: K {} -> {} in {:?}\n",
+            stats.k_before, stats.max_configs, stats.prune_time
+        )
+    } else {
+        String::new()
+    };
+    let hit_rate = match s.intern_hit_rate {
+        Some(h) => format!("{:.0}%", h * 100.0),
+        None => "n/a (interning skipped)".to_string(),
+    };
+    let mut content = format!(
+        "model {model}, p = {p}, machine {machine} — search {:?} (K = {}, M = {})\n\
+         wavefronts {} (max width {}), intern hit rate {hit_rate}\n\
+         {prune_line}\
+         minimum cost {:.4e} FLOP-units\n\n",
+        stats.elapsed,
+        stats.max_configs,
+        stats.max_dependent_set,
+        stats.wavefronts,
+        stats.max_wavefront_width,
+        s.cost,
+    );
+    content.push_str(&s.strategy.report(graph));
+    content
+}
+
+/// Run a frontier-mode search: the selected point, plus a text rendering
+/// of the (step-time × peak-memory) Pareto frontier and the selected
+/// point's layer report. With `max_memory`, selection is the fastest point
+/// whose peak per-device strategy memory fits the cap; an impossible cap
+/// is a clean error naming the frontier's memory floor.
+#[allow(clippy::too_many_arguments)]
 fn frontier_search(
     graph: &Graph,
     model: &str,
@@ -246,35 +296,27 @@ fn frontier_search(
     memory_limit_gb: Option<f64>,
     max_memory: Option<u64>,
     knobs: SearchKnobs,
-) -> Result<String, String> {
-    let mut rule = ConfigRule::new(p);
-    if let Some(gb) = memory_limit_gb {
-        rule = rule.with_memory_limit(gb * (1u64 << 30) as f64);
-    }
-    let mut search = Search::new(graph)
-        .rule(rule)
-        .mesh(mesh.clone())
-        .pruning(knobs.prune_options())
-        .frontier();
+    trace: Option<&Trace>,
+) -> Result<(Searched, String), String> {
+    let mut search = base_search(graph, p, mesh, memory_limit_gb, knobs, trace).frontier();
     if let Some(bytes) = max_memory {
         search = search.max_memory_bytes(bytes);
     }
-    let run = search.run();
-    let points: Vec<FrontierPoint> = run
-        .frontier()
-        .map_or_else(Vec::new, |f| f.points().to_vec());
+    let (run, elapsed) = run_on_threads(search, knobs.threads)?;
+    let points: &[FrontierPoint] = run.frontier().map_or(&[], |f| f.points());
     match run.outcome() {
         SearchOutcome::Found(r) => {
+            let selected = searched(&run, r, elapsed);
             let mut content = format!(
                 "model {model}, p = {p}, machine {} — Pareto frontier: {} points \
                  (search {:?})\n\n      {:>16}  {:>12}\n",
                 mesh.name,
                 points.len(),
-                r.stats.elapsed,
+                selected.stats.elapsed,
                 "cost",
                 "peak memory",
             );
-            for pt in &points {
+            for pt in points {
                 let mark = if pt.config_ids == r.config_ids {
                     '*'
                 } else {
@@ -294,8 +336,8 @@ fn frontier_search(
                 ),
                 None => format!("\nselected: the min-time point (cost {:.4e})\n\n", r.cost),
             });
-            content.push_str(&run.tables().ids_to_strategy(&r.config_ids).report(graph));
-            Ok(content)
+            content.push_str(&selected.strategy.report(graph));
+            Ok((selected, content))
         }
         SearchOutcome::Infeasible {
             min_memory_bytes, ..
@@ -378,21 +420,26 @@ fn run() -> Result<(), String> {
                         .map_err(|_| format!("invalid --max-memory: {v}"))
                 })
                 .transpose()?;
-            if args.has("frontier") || max_memory.is_some() {
-                let content =
-                    frontier_search(&graph, &model, p, &mesh, memory_limit, max_memory, knobs)?;
-                return emit(args.get("out"), &content);
-            }
             // A trace is recorded whenever it has a consumer: an explicit
             // --trace-out file, or the per-phase breakdown of the --json
             // search report.
             let trace = (args.get("trace-out").is_some() || args.has("json")).then(Trace::new);
-            let Searched {
-                strategy,
-                cost,
-                stats,
-                intern_hit_rate,
-            } = search_strategy(&graph, p, &mesh, memory_limit, knobs, trace.as_ref())?;
+            let (found, text) = if args.has("frontier") || max_memory.is_some() {
+                frontier_search(
+                    &graph,
+                    &model,
+                    p,
+                    &mesh,
+                    memory_limit,
+                    max_memory,
+                    knobs,
+                    trace.as_ref(),
+                )?
+            } else {
+                let s = search_strategy(&graph, p, &mesh, memory_limit, knobs, trace.as_ref())?;
+                let text = search_text(&graph, &model, p, &machine.name, &s);
+                (s, text)
+            };
             if let Some(path) = args.get("trace-out") {
                 let t = trace.as_ref().expect("trace was created for --trace-out");
                 std::fs::write(path, chrome_trace_json(t))
@@ -400,43 +447,22 @@ fn run() -> Result<(), String> {
             }
             if args.has("json") {
                 let outcome = SearchOutcome::Found(SearchResult {
-                    cost,
+                    cost: found.cost,
                     config_ids: vec![],
-                    stats: stats.clone(),
+                    stats: found.stats,
                 });
                 let report = SearchReport::new(model.as_str(), p, &outcome, trace.as_ref());
                 let report_json = report.to_json();
                 emit(
                     args.get("out"),
-                    &to_sharding_json_with(&graph, &strategy, &[("search_report", &report_json)]),
+                    &to_sharding_json_with(
+                        &graph,
+                        &found.strategy,
+                        &[("search_report", &report_json)],
+                    ),
                 )?;
             } else {
-                let prune_line = if stats.k_before > stats.max_configs {
-                    format!(
-                        "dominance pruning: K {} -> {} in {:?}\n",
-                        stats.k_before, stats.max_configs, stats.prune_time
-                    )
-                } else {
-                    String::new()
-                };
-                let hit_rate = match intern_hit_rate {
-                    Some(h) => format!("{:.0}%", h * 100.0),
-                    None => "n/a (interning skipped)".to_string(),
-                };
-                let mut content = format!(
-                    "model {model}, p = {p}, machine {} — search {:?} (K = {}, M = {})\n\
-                     wavefronts {} (max width {}), intern hit rate {hit_rate}\n\
-                     {prune_line}\
-                     minimum cost {cost:.4e} FLOP-units\n\n",
-                    machine.name,
-                    stats.elapsed,
-                    stats.max_configs,
-                    stats.max_dependent_set,
-                    stats.wavefronts,
-                    stats.max_wavefront_width,
-                );
-                content.push_str(&strategy.report(&graph));
-                emit(args.get("out"), &content)?;
+                emit(args.get("out"), &text)?;
             }
         }
         "compare" => {
@@ -864,8 +890,10 @@ mod tests {
         let knobs = SearchKnobs::from_args(&Args::default()).unwrap();
         let m = DeviceMesh::flat(&MachineSpec::gtx1080ti());
         let scalar = search_strategy(&g, 4, &m, None, knobs, None).unwrap();
-        let content = frontier_search(&g, "mlp", 4, &m, None, None, knobs).unwrap();
+        let (found, content) = frontier_search(&g, "mlp", 4, &m, None, None, knobs, None).unwrap();
         assert!(content.contains("Pareto frontier"));
+        assert_eq!(found.cost.to_bits(), scalar.cost.to_bits());
+        assert_eq!(found.stats.dp_kernel, "frontier-tiled");
         // The frontier's min-time point is the scalar optimum, bit for bit.
         assert!(
             content.contains(&format!("{:.4e}", scalar.cost)),
@@ -873,7 +901,9 @@ mod tests {
             scalar.cost
         );
         // A one-byte cap cannot fit any strategy: clean error, not a panic.
-        let err = frontier_search(&g, "mlp", 4, &m, None, Some(1), knobs).unwrap_err();
+        let Err(err) = frontier_search(&g, "mlp", 4, &m, None, Some(1), knobs, None) else {
+            panic!("a one-byte cap found a strategy");
+        };
         assert!(err.contains("no strategy fits"), "{err}");
     }
 
@@ -992,6 +1022,7 @@ mod tests {
             "search --model transformer --devices 64 --trace-out t.json --json --out s.json",
             "search --model inception --devices 8 --search-threads 1 --prune-epsilon 0.05",
             "search --model mlp --frontier --max-memory 1000 --machine 2080ti",
+            "search --model inception --devices 8 --frontier --trace-out t.json --json --out s.json",
             "serve --addr 127.0.0.1:0 --workers 2 --prewarm alexnet:8:1080ti",
             "query --model alexnet --devices 8 --weak-scaling --addr a:1 --out q.json",
             "query --stats --addr a:1 --batch 8 --machine-file m.json --deadline-ms 5",

@@ -94,10 +94,13 @@ pub struct SearchStats {
     /// High-water mark of live DP table memory in bytes. A scalar table
     /// holds `choice` (2 B/entry) until back-substitution ends, and its
     /// `costs` (8 B/entry) until its parent table is filled (a root's
-    /// until the end); a frontier table holds its points to the end. The
-    /// mark is taken after each batch of tables is filled, before their
-    /// children are freed, so it is at most
-    /// `table_entries × DP_ENTRY_BYTES` for a scalar search. On a search
+    /// until the end). A frontier table holds each point's configuration
+    /// id (2 B), its child-point indices (4 B per child) and its entry
+    /// offsets (4 B/entry) to the end, and its `(time, mem)` pairs
+    /// (16 B/point) until its parent is filled. The mark is taken after
+    /// each batch of tables is filled, before their children are freed,
+    /// so it is at most `table_entries × DP_ENTRY_BYTES` for a scalar
+    /// search; for a frontier search it is what the byte cap checks. On a search
     /// the plan pass aborted (nothing allocated yet) it is the bytes the
     /// plan pass had accounted when the budget tripped.
     pub peak_table_bytes: u64,

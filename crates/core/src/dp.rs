@@ -44,16 +44,18 @@
 //!   straight into the table's final arrays. The per-entry scalar loop it
 //!   replaced survives only as the test oracle
 //!   [`crate::reference::scalar_search`].
-//! * A scalar table's `costs` are freed once its parent is filled
-//!   ([`DpValue::release`]). Subset anchors form a forest — every
-//!   non-root position is the anchor of exactly one later position, a root
-//!   of none — so a child's costs are dead once its one parent is filled,
-//!   with no reference counting; back-substitution reads only `choice` and
-//!   the roots' `costs[0]`.
+//! * A child table's values are freed once its parent is filled
+//!   ([`DpValue::release`]): a scalar table's `costs`, a frontier table's
+//!   `(time, mem)` points. Subset anchors form a forest — every non-root
+//!   position is the anchor of exactly one later position, a root of none
+//!   — so a child's values are dead once its one parent is filled, with no
+//!   reference counting. Back-substitution reads only the choices (and,
+//!   for a frontier, the child-point indices) plus the roots' values.
 //! * Budgets are enforced *before* each allocation (`Oom`) and per chunk of
 //!   work (`Timeout`), reproducing Table I's failure modes without actually
 //!   exhausting the machine. Values whose size depends on table contents
-//!   (Pareto sets) are also checked against the byte cap after each wave.
+//!   (Pareto sets) are also checked against the byte cap after each wave,
+//!   through the peak of live table bytes.
 
 use crate::budget::{SearchBudget, SearchOutcome, SearchResult, SearchStats, DP_ENTRY_BYTES};
 use crate::kernel::{self, PackedVertex};
@@ -506,9 +508,9 @@ pub(crate) trait DpValue: Sync {
     /// Free what only the parent's fill reads of a child `table`, once its
     /// one parent is filled; keep what [`DpValue::backtrack`] reads.
     fn release(table: &mut Self::Table);
-    /// Bytes `table` holds, checked against the budget's byte cap after
-    /// each wave; `n_children` is its position's child-table count.
-    fn table_bytes(table: &Self::Table, n_children: usize) -> u64;
+    /// Bytes `table` holds, counted into the live bytes whose peak is
+    /// checked against the budget's byte cap after each wave.
+    fn table_bytes(table: &Self::Table) -> u64;
     /// Back-substitution over the filled tables: the search's answer, with
     /// `stats` attached.
     fn backtrack(
@@ -602,7 +604,7 @@ impl DpValue for MinTime {
         table.costs = Vec::new();
     }
 
-    fn table_bytes(table: &Table, _n_children: usize) -> u64 {
+    fn table_bytes(table: &Table) -> u64 {
         (table.costs.len() * std::mem::size_of::<f64>()
             + table.choice.len() * std::mem::size_of::<u16>()) as u64
     }
@@ -763,7 +765,7 @@ pub(crate) fn drive<V: DpValue>(
             }
             for (&i, out) in batch.iter().zip(outs) {
                 let table = V::finish(out);
-                table_bytes += V::table_bytes(&table, structure.subset_anchors(i).len());
+                table_bytes += V::table_bytes(&table);
                 dp[i] = Some(table);
             }
             stats.peak_table_bytes = stats.peak_table_bytes.max(table_bytes);
@@ -771,11 +773,10 @@ pub(crate) fn drive<V: DpValue>(
             // which this batch just filled, so its fill operands are dead.
             for &i in batch {
                 for &j in structure.subset_anchors(i) {
-                    let n = structure.subset_anchors(j).len();
                     let child = dp[j].as_mut().expect("child table");
-                    table_bytes -= V::table_bytes(child, n);
+                    table_bytes -= V::table_bytes(child);
                     V::release(child);
-                    table_bytes += V::table_bytes(child, n);
+                    table_bytes += V::table_bytes(child);
                 }
             }
         }
@@ -787,13 +788,15 @@ pub(crate) fn drive<V: DpValue>(
             t.counter("table_bytes", table_bytes);
             t.counter("packed_bytes", packed_bytes);
         }
-        // Scalar tables were accounted exactly by the plan pass; this only
-        // trips for values whose size depends on table contents.
-        if table_bytes > byte_cap {
+        // The peak, not the live bytes after the wave: the children a batch
+        // releases were live alongside its new tables. Scalar tables were
+        // accounted exactly by the plan pass; this only trips for values
+        // whose size depends on table contents.
+        if stats.peak_table_bytes > byte_cap {
             stats.elapsed = start.elapsed();
             return Ok(Filled {
                 outcome: SearchOutcome::Oom {
-                    needed_entries: table_bytes / DP_ENTRY_BYTES,
+                    needed_entries: stats.peak_table_bytes.div_ceil(DP_ENTRY_BYTES),
                     stats,
                 },
                 frontier: None,

@@ -44,6 +44,15 @@
 //! with [`Pareto`] as its DP value. Entries are computed independently, so
 //! the result is bit-identical at any thread count.
 //!
+//! ## Table lifetime
+//!
+//! An [`FTable`] keeps each point's `(time, mem)` pair apart from its
+//! configuration id and its child-point indices. Only the parent's fill
+//! reads the pairs, so once that one parent is filled the driver releases
+//! them ([`Pareto`]'s `release`), as it frees a scalar table's costs;
+//! back-substitution walks the ids and child indices, and reads pairs
+//! only of the roots, which are never released.
+//!
 //! ## The frontier microkernel
 //!
 //! Tables are filled by a run-blocked microkernel
@@ -92,9 +101,15 @@ use crate::structure::VertexStructure;
 use pase_cost::CostTables;
 use pase_graph::GraphError;
 
-/// Approximate bytes one frontier point occupies (time + memory + choice),
-/// excluding the per-child backtrack indices accounted separately.
-const POINT_BYTES: u64 = 18;
+/// Bytes of one `(time, mem)` point in [`FTable::pts`] — what the parent's
+/// fill reads; freed by [`Pareto`]'s release.
+const PT_BYTES: u64 = std::mem::size_of::<Pt>() as u64;
+/// Bytes of one point's configuration id in [`FTable::choice`].
+const CHOICE_BYTES: u64 = std::mem::size_of::<u16>() as u64;
+/// Bytes of one point's index into one child's entry, in [`FTable::kids`].
+const KID_BYTES: u64 = std::mem::size_of::<u32>() as u64;
+/// Bytes of one entry's start in [`FTable::offsets`].
+const OFFSET_BYTES: u64 = std::mem::size_of::<u32>() as u64;
 
 /// One Pareto point of a [`StrategyFrontier`].
 #[derive(Clone, Debug, PartialEq)]
@@ -176,25 +191,31 @@ pub fn cheapest_within(points: &[FrontierPoint], max_bytes: u64) -> Option<&Fron
     points.get(i)
 }
 
-/// One `(time, memory, choice)` triple of a per-state frontier.
+/// One `(time, memory)` pair of a per-state frontier.
 #[derive(Clone, Copy)]
 pub(crate) struct Pt {
     pub(crate) time: f64,
     pub(crate) mem: u64,
-    pub(crate) choice: u16,
 }
 
 /// Frontier analogue of the scalar DP table, stored flat: entry `i`'s
-/// points are `pts[offsets[i]..offsets[i+1]]` and its packed child-choice
-/// rows sit at the same positions (× children) in `kids`. Child lookups
-/// are the hottest reads of the fill; one contiguous buffer per table
-/// keeps them prefetchable instead of chasing a `Vec` header per entry.
-/// Buffers are recycled through `crate::pool`; a taken table is empty,
-/// its offsets holding only the leading 0.
+/// points are `pts[offsets[i]..offsets[i+1]]`, their configuration ids sit
+/// at the same positions in `choice`, and their packed child-choice rows
+/// at the same positions (× children) in `kids`. Child lookups are the
+/// hottest reads of the fill; one contiguous buffer per table keeps them
+/// prefetchable instead of chasing a `Vec` header per entry.
+///
+/// The parent's fill reads `pts`; back-substitution reads `offsets`,
+/// `choice` and `kids` (and the roots' `pts`). Once the one parent is
+/// filled, [`Pareto`]'s release drops `pts`, so a released table holds
+/// `choice`, `kids` and `offsets` only. Buffers are recycled through
+/// `crate::pool`; a taken table is empty, its offsets holding only the
+/// leading 0.
 #[derive(Default)]
 pub(crate) struct FTable {
     pub(crate) offsets: Vec<u32>,
     pub(crate) pts: Vec<Pt>,
+    pub(crate) choice: Vec<u16>,
     pub(crate) kids: Vec<u32>,
 }
 
@@ -204,10 +225,13 @@ impl Poolable for FTable {
         self.offsets.clear();
         self.offsets.push(0);
         self.pts.clear();
+        self.choice.clear();
         self.kids.clear();
     }
     fn shed(&mut self) -> bool {
+        // A released table's `pts` is empty, so check `choice` too.
         self.pts.capacity() <= MAX_POOLED_ENTRIES
+            && self.choice.capacity() <= MAX_POOLED_ENTRIES
             && self.kids.capacity() <= MAX_POOLED_ENTRIES
             && self.offsets.capacity() <= MAX_POOLED_ENTRIES
     }
@@ -230,6 +254,7 @@ impl FTable {
         let n = self.offsets.len();
         let (s, e) = (self.offsets[n - 2] as usize, self.offsets[n - 1] as usize);
         self.pts.extend_from_within(s..e);
+        self.choice.extend_from_within(s..e);
         self.kids.extend_from_within(s * stride..e * stride);
         self.offsets.push(self.pts.len() as u32);
     }
@@ -239,9 +264,16 @@ impl FTable {
     fn append_table(&mut self, part: &FTable) {
         let base = self.pts.len() as u32;
         self.pts.extend_from_slice(&part.pts);
+        self.choice.extend_from_slice(&part.choice);
         self.kids.extend_from_slice(&part.kids);
         self.offsets
             .extend(part.offsets[1..].iter().map(|&o| base + o));
+    }
+
+    /// Append one point of the entry being filled.
+    fn push(&mut self, time: f64, mem: u64, choice: u32) {
+        self.pts.push(Pt { time, mem });
+        self.choice.push(choice as u16);
     }
 
     /// Whether every entry's frontier has exactly one point — the
@@ -280,8 +312,8 @@ pub(crate) struct FrontierScratch {
     run_buf: Vec<(f64, u64, u32, u32)>,
     /// Double buffer for rebuilding `acc_kids` after a fold stage.
     new_kids: Vec<u32>,
-    /// Per-entry result across configurations (kids stride = children).
-    result: Vec<Pt>,
+    /// Per-entry child rows of every folded configuration's points
+    /// (stride = children), indexed by the merge candidates' point index.
     result_kids: Vec<u32>,
     /// The runs fed to each merge.
     runs: Vec<MergeRun>,
@@ -320,7 +352,6 @@ impl Poolable for FrontierScratch {
         shed_vec(&mut self.cand2, cap);
         shed_vec(&mut self.run_buf, cap);
         shed_vec(&mut self.new_kids, cap);
-        shed_vec(&mut self.result, cap);
         shed_vec(&mut self.result_kids, cap);
         shed_vec(&mut self.runs, cap);
         shed_vec(&mut self.pre, cap);
@@ -832,7 +863,6 @@ fn fill_chunk_frontier_tiled(
         run_buf,
         runs,
         new_kids,
-        result,
         result_kids,
         child_base,
         child_step,
@@ -1061,11 +1091,7 @@ fn fill_chunk_frontier_tiled(
                 }
                 thin_frontier(xm, width);
                 for &(t, mm, c, _) in xm.iter() {
-                    out.pts.push(Pt {
-                        time: t,
-                        mem: mm,
-                        choice: c as u16,
-                    });
+                    out.push(t, mm, c);
                 }
                 out.kids
                     .extend(std::iter::repeat_n(0u32, xm.len() * n_children));
@@ -1106,18 +1132,13 @@ fn fill_chunk_frontier_tiled(
                     }));
                     merge_runs_tiled(runs, &ft0.pts, width, width > 0, xm, xm2);
                     for &(t, mm, c, h) in xm.iter() {
-                        out.pts.push(Pt {
-                            time: t,
-                            mem: mm,
-                            choice: c as u16,
-                        });
+                        out.push(t, mm, c);
                         out.kids.push(h - runs[c as usize].head);
                     }
                     out.offsets.push(out.pts.len() as u32);
                     continue;
                 }
                 xm.clear();
-                result.clear();
                 result_kids.clear();
                 'config: for c in 0..kv {
                     // Exact endpoints of the configuration's fold, computed
@@ -1204,15 +1225,10 @@ fn fill_chunk_frontier_tiled(
                     if !xm.is_empty() && acc.iter().all(|&(t, mm)| run_dominated(xm, t, mm)) {
                         continue 'config;
                     }
-                    let astart = result.len() as u32;
-                    for (i, &(t, mm)) in acc.iter().enumerate() {
-                        result.push(Pt {
-                            time: t,
-                            mem: mm,
-                            choice: c as u16,
-                        });
-                        result_kids.extend_from_slice(&acc_kids[i * n_children..][..n_children]);
-                    }
+                    // General entries have at least one child (a childless
+                    // pack is degenerate), so the kids rows count the points.
+                    let astart = (result_kids.len() / n_children) as u32;
+                    result_kids.extend_from_slice(&acc_kids[..acc.len() * n_children]);
                     run_buf.clear();
                     run_buf.extend(
                         acc.iter()
@@ -1222,8 +1238,10 @@ fn fill_chunk_frontier_tiled(
                     merge_run_batched(xm, xm2, run_buf, width);
                 }
                 thin_frontier(xm, width);
-                for &(_, _, _, pi) in xm.iter() {
-                    out.pts.push(result[pi as usize]);
+                // The candidates carry each point's coordinates and
+                // configuration verbatim from the fold.
+                for &(t, mm, c, pi) in xm.iter() {
+                    out.push(t, mm, c);
                     out.kids
                         .extend_from_slice(&result_kids[pi as usize * n_children..][..n_children]);
                 }
@@ -1336,7 +1354,9 @@ impl DpValue for Pareto {
         table
             .offsets
             .reserve(out.iter().map(|p| p.offsets.len() - 1).sum());
-        table.pts.reserve(out.iter().map(|p| p.pts.len()).sum());
+        let points = out.iter().map(|p| p.pts.len()).sum();
+        table.pts.reserve(points);
+        table.choice.reserve(points);
         table.kids.reserve(out.iter().map(|p| p.kids.len()).sum());
         for part in &out {
             table.append_table(part);
@@ -1344,12 +1364,17 @@ impl DpValue for Pareto {
         table
     }
 
-    /// Backtrack follows kid indices through every table, so nothing is
-    /// dead before it ends.
-    fn release(_table: &mut FTable) {}
+    /// Backtrack reads a child's `choice`, `kids` and `offsets`; its `pts`
+    /// were read by the parent's fill and are dead.
+    fn release(table: &mut FTable) {
+        table.pts = Vec::new();
+    }
 
-    fn table_bytes(table: &FTable, n_children: usize) -> u64 {
-        table.pts.len() as u64 * (POINT_BYTES + 4 * n_children as u64)
+    fn table_bytes(table: &FTable) -> u64 {
+        table.pts.len() as u64 * PT_BYTES
+            + table.choice.len() as u64 * CHOICE_BYTES
+            + table.kids.len() as u64 * KID_BYTES
+            + table.offsets.len() as u64 * OFFSET_BYTES
     }
 
     fn backtrack(
@@ -1379,7 +1404,8 @@ impl DpValue for Pareto {
 /// (singleton) root frontiers in root order — the same order, and
 /// therefore the same addition tree, as the scalar root sum — prunes and
 /// thins the global set to `width`, then extracts the full strategy of
-/// every surviving Pareto point.
+/// every surviving Pareto point. Reads `pts` of the roots only, so every
+/// other table may have been released.
 pub(crate) fn backtrack_frontier(
     tables: &CostTables,
     structure: &VertexStructure,
@@ -1426,8 +1452,8 @@ pub(crate) fn backtrack_frontier(
             while let Some((i, flat, pi)) = stack.pop() {
                 let table = dp[i].as_ref().expect("table");
                 let children = &children_all[i];
-                let pt = table.entry_pts(flat as usize)[pi as usize];
-                ids[plans[i].vi.index()] = pt.choice;
+                let choice = table.choice[(table.offsets[flat as usize] + pi) as usize];
+                ids[plans[i].vi.index()] = choice;
                 let kids = &table.entry_kids(flat as usize, children.len())
                     [pi as usize * children.len()..][..children.len()];
                 for (ch, &kid) in children.iter().zip(kids) {
@@ -1440,7 +1466,7 @@ pub(crate) fn backtrack_frontier(
                             coef * d
                         })
                         .sum();
-                    let child_flat = base + ch.vi_coef * u64::from(pt.choice);
+                    let child_flat = base + ch.vi_coef * u64::from(choice);
                     stack.push((ch.anchor, child_flat, kid));
                 }
             }
@@ -1638,6 +1664,26 @@ mod tests {
                 p.memory_bytes
             );
         }
+    }
+
+    #[test]
+    fn frontier_table_bytes_count_every_buffer() {
+        assert_eq!(
+            (PT_BYTES, CHOICE_BYTES, KID_BYTES, OFFSET_BYTES),
+            (16, 2, 4, 4)
+        );
+        // Two entries of a two-child position: two points, then one.
+        let mut t = FTable::default();
+        t.push(1.0, 20, 0);
+        t.push(2.0, 10, 1);
+        t.push(3.0, 10, 0);
+        t.kids = vec![0; 6];
+        t.offsets = vec![0, 2, 3];
+        assert_eq!(Pareto::table_bytes(&t), 3 * 16 + 3 * 2 + 6 * 4 + 3 * 4);
+        // Released, a table keeps what back-substitution reads.
+        Pareto::release(&mut t);
+        assert_eq!(Pareto::table_bytes(&t), 3 * 2 + 6 * 4 + 3 * 4);
+        assert_eq!(t.choice, vec![0, 1, 0]);
     }
 
     #[test]

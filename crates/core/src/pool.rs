@@ -261,7 +261,7 @@ mod tests {
         drop(t);
         let t2 = Pooled::<FTable>::take();
         assert_eq!(t2.offsets, vec![0u32]);
-        assert!(t2.pts.is_empty() && t2.kids.is_empty());
+        assert!(t2.pts.is_empty() && t2.choice.is_empty() && t2.kids.is_empty());
         drop(t2);
         let scratch: Vec<Pooled<FrontierScratch>> =
             (0..3 * MAX_POOLED_TABLES).map(|_| Pooled::take()).collect();

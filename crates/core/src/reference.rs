@@ -324,11 +324,7 @@ fn fill_entry(
         }
         let start = s.result.len() as u32;
         for (i, &(t, m)) in s.acc.iter().enumerate() {
-            s.result.push(Pt {
-                time: t,
-                mem: m,
-                choice: c,
-            });
+            s.result.push(Pt { time: t, mem: m });
             s.result_kids
                 .extend_from_slice(&s.acc_kids[i * n_children..][..n_children]);
         }
@@ -351,8 +347,10 @@ fn fill_entry(
     merge_pruned_runs(&s.runs, &s.result, width, &mut s.cand, &mut s.cand2);
     thin_frontier(&mut s.cand, width);
 
-    for &(_, _, _, i) in &s.cand {
+    // One run per configuration, so a survivor's run index is its choice.
+    for &(_, _, c, i) in &s.cand {
         out.pts.push(s.result[i as usize]);
+        out.choice.push(c as u16);
         out.kids
             .extend_from_slice(&s.result_kids[i as usize * n_children..][..n_children]);
     }
@@ -584,11 +582,7 @@ mod tests {
         // Four runs over a shared point arena, including an empty run, a
         // non-contributing run, and exact (time, mem) ties; each run is a
         // valid frontier (ascending time, strictly decreasing memory).
-        let p = |time: f64, mem: u64| Pt {
-            time,
-            mem,
-            choice: 0,
-        };
+        let p = |time: f64, mem: u64| Pt { time, mem };
         let pts = vec![
             // run 0 (base 0, 0)
             p(1.0, 100),
@@ -637,14 +631,7 @@ mod tests {
         // One run per point set: the incremental merge of single-point runs
         // is the sort-and-sweep prune of their union.
         let raw = [(2.0, 5u64), (1.0, 10), (1.0, 10), (3.0, 1), (2.5, 9)];
-        let pts: Vec<Pt> = raw
-            .iter()
-            .map(|&(time, mem)| Pt {
-                time,
-                mem,
-                choice: 0,
-            })
-            .collect();
+        let pts: Vec<Pt> = raw.iter().map(|&(time, mem)| Pt { time, mem }).collect();
         let runs: Vec<MergeRun> = (0..pts.len() as u32)
             .map(|h| MergeRun {
                 bt: 0.0,

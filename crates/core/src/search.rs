@@ -714,9 +714,10 @@ mod tests {
     #[test]
     fn frontier_points_over_the_byte_cap_abort_the_fill() {
         // The plan pass accounts 10 bytes per entry, but every frontier
-        // entry holds at least one 18-byte point: a budget of exactly the
+        // entry holds a 4-byte offset and at least one point of 16 bytes
+        // of `(time, mem)` plus a 2-byte choice: a budget of exactly the
         // accounted entries passes the plan pass (the scalar search fits
-        // in it) and trips the driver's byte check during the fill.
+        // in it) and trips the driver's peak-byte check during the fill.
         let g = chain2();
         let entries = Search::new(&g)
             .devices(8)

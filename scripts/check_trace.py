@@ -16,11 +16,15 @@ Checks:
     their sum must also not exceed elapsed by more than rounding). The
     "kernel" span is nested inside its fill span, so it is excluded from
     the disjoint sum;
-  * for a scalar ("tiled") search, every table_bytes sample (the live
-    table bytes after a wave) is at most stats.peak_table_bytes, which is
-    at most stats.table_entries x 10 bytes (an f64 cost plus a u16 choice
-    per allocated entry; the fill frees a child's costs once its parent
-    is filled).
+  * every table_bytes sample (the live table bytes after a wave) is at
+    most stats.peak_table_bytes: the fill frees a child's costs (scalar)
+    or (time, mem) points (frontier) once its parent is filled, and the
+    peak is taken before a batch's children are freed;
+  * for a scalar ("tiled") search, stats.peak_table_bytes is at most
+    stats.table_entries x 10 bytes (an f64 cost plus a u16 choice per
+    allocated entry);
+  * for a frontier ("frontier-tiled") search, the report counts at least
+    one Pareto point (stats.frontier_len).
 """
 
 import json
@@ -94,13 +98,15 @@ def main() -> None:
     table_bytes = [e["args"]["value"] for e in counters if e["name"] == "table_bytes"]
     if not table_bytes:
         fail("no table_bytes counter samples")
+    peak = report["stats"]["peak_table_bytes"]
+    if max(table_bytes) > peak:
+        fail(f"a table_bytes sample {max(table_bytes)} exceeds peak_table_bytes {peak}")
     if dp_kernel == "tiled":
-        peak = report["stats"]["peak_table_bytes"]
         allocated = report["stats"]["table_entries"] * 10
-        if max(table_bytes) > peak:
-            fail(f"a table_bytes sample {max(table_bytes)} exceeds peak_table_bytes {peak}")
         if peak > allocated:
             fail(f"peak_table_bytes {peak} exceeds table_entries x 10 = {allocated}")
+    elif report["stats"]["frontier_len"] < 1:
+        fail("a frontier search reported no Pareto points")
 
     print(
         f"check_trace: OK — {len(spans)} spans ({len(wavefronts)} wavefronts), "

@@ -45,6 +45,12 @@ cargo run -p pase-cli --release --bin pase -- search \
     --model transformer --devices 64 \
     --trace-out "$trace_dir/trace.json" --json --out "$trace_dir/spec.json"
 python3 scripts/check_trace.py "$trace_dir/trace.json" "$trace_dir/spec.json"
+# The same checks on a frontier search, whose fill releases each child's
+# points once its parent is filled.
+cargo run -p pase-cli --release --bin pase -- search \
+    --model inception --devices 8 --frontier \
+    --trace-out "$trace_dir/frontier_trace.json" --json --out "$trace_dir/frontier_spec.json"
+python3 scripts/check_trace.py "$trace_dir/frontier_trace.json" "$trace_dir/frontier_spec.json"
 
 # Concurrent-serve smoke: a small load cell, a nonzero idle-swarm cell
 # (32 idle connections must not stop the server from serving), and a
